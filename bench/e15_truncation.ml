@@ -3,21 +3,13 @@
    this measures what the cap buys over full-degree products. *)
 
 open Consensus_util
-open Consensus_poly
 open Consensus_anxor
 module Gen = Consensus_workload.Gen
 
+(* Same computation as Marginals.rank_dist_alt but with full-degree
+   polynomials, over the same arena: the ablation baseline. *)
 let rank_dist_untruncated db l ~k =
-  (* Same computation as Marginals.rank_dist_alt but with full-degree
-     polynomials: the ablation baseline. *)
-  let s = (Db.alt db l).Db.value in
-  let f =
-    Genfunc.bipoly ?trunc:None
-      (fun (i, (a : Db.alt)) ->
-        if i = l then Bipoly.y else if a.Db.value > s then Bipoly.x else Bipoly.one)
-      (Tree.indexed (Db.tree db))
-  in
-  Array.init k (fun j -> Poly1.coeff f.Bipoly.b j)
+  Array.sub (Marginals.full_rank_dist_alt db l) 0 k
 
 let run () =
   Harness.header "E15: ablation — truncated vs full-degree generating functions";

@@ -24,6 +24,7 @@ module Pool = Consensus_engine.Pool
 module Obs = Consensus_obs.Obs
 module Report = Consensus_obs.Report
 module Expose = Consensus_obs.Expose
+module Formats = Consensus_textio.Formats
 
 let pp_answer answer =
   Array.to_list answer |> List.map string_of_int |> String.concat "; "
@@ -119,6 +120,15 @@ let report ?(stats = false) ?(metrics = None) ?(trace = None) pool =
    down) still runs on the failure paths. *)
 exception Exit_code of int
 
+(* Every input file is read through here: a file that cannot be read
+   ([Sys_error]) or does not parse ([Failure "<file>:<line>: ..."] from
+   [Formats]) is a clean input error (exit 2), not an uncaught exception. *)
+let load read path =
+  try read path with
+  | Sys_error msg | Failure msg ->
+      Printf.eprintf "consensus: %s\n" msg;
+      raise (Exit_code 2)
+
 (* Unsupported metric/flavor combinations exit cleanly with a message, not a
    backtrace: `consensus topk --median --metric kendall` must fail loudly.
    Returns the process exit code; callers [exit] with it only after
@@ -198,7 +208,7 @@ let topk_cmd =
     let pool = setup_pool ~trace ~metrics jobs in
     let code =
       handle (fun () ->
-        let db = Consensus_textio.Formats.load_db input in
+        let db = load Formats.load_db input in
         let rng = Consensus_util.Prng.create ~seed () in
         match Api.run ~pool ~rng db (Api.Topk (k, metric, flavor_of_median median)) with
         | Api.Topk_answer { keys; expected } ->
@@ -235,7 +245,7 @@ let world_cmd =
     let pool = setup_pool ~trace ~metrics jobs in
     let code =
       handle (fun () ->
-        let db = Consensus_textio.Formats.load_db input in
+        let db = load Formats.load_db input in
         match Api.run ~pool db (Api.World (metric, flavor_of_median median)) with
         | Api.World_answer { leaves; expected } ->
             Printf.printf "world: {%s}\n" (pp_world db leaves);
@@ -260,7 +270,7 @@ let aggregate_cmd =
     let pool = setup_pool ~trace ~metrics jobs in
     let code =
       handle (fun () ->
-        let probs = Consensus_textio.Formats.load_matrix input in
+        let probs = load Formats.load_matrix input in
         match Api.run ~pool (Db.independent []) (Api.Aggregate (probs, flavor_of_median median)) with
         | Api.Aggregate_answer { counts; expected } ->
             let d = List.assoc "sq_dist" expected in
@@ -306,7 +316,7 @@ let cluster_cmd =
     let pool = setup_pool ~trace ~metrics jobs in
     let code =
       handle (fun () ->
-        let db = Consensus_textio.Formats.load_db input in
+        let db = load Formats.load_db input in
         let rng = Consensus_util.Prng.create ~seed () in
         match Api.run ~pool ~rng db (Api.Cluster { trials; samples }) with
         | Api.Cluster_answer { labels; expected } ->
@@ -349,7 +359,7 @@ let rank_cmd =
     let pool = setup_pool ~trace ~metrics jobs in
     let code =
       handle (fun () ->
-        let db = Consensus_textio.Formats.load_db input in
+        let db = load Formats.load_db input in
         let rng = Consensus_util.Prng.create ~seed () in
         match Api.run ~pool ~rng db (Api.Rank metric) with
         | Api.Rank_answer { keys; expected } ->
@@ -432,12 +442,10 @@ let batch_cmd =
     let server = start_listener listen in
     let code =
       handle (fun () ->
-        let db = Consensus_textio.Formats.load_db input in
+        let db = load Formats.load_db input in
         let contents =
-          let ic = open_in batch_file in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
+          load (fun path -> In_channel.with_open_bin path In_channel.input_all)
+            batch_file
         in
         let queries =
           match Query_text.parse_string contents with
@@ -731,11 +739,11 @@ let explain_cmd =
           in
           let db, query =
             match proto with
-            | Query_text.Db_query q -> (Consensus_textio.Formats.load_db input, q)
+            | Query_text.Db_query q -> (load Formats.load_db input, q)
             | Query_text.Aggregate_query flavor ->
                 ( Db.independent [],
                   Api.Aggregate
-                    (Consensus_textio.Formats.load_matrix input, flavor) )
+                    (load Formats.load_matrix input, flavor) )
           in
           let rng = Consensus_util.Prng.create ~seed () in
           (* Profile the evaluation only, not input parsing. *)
@@ -763,15 +771,20 @@ let explain_cmd =
 
 let maxsat_cmd =
   let run input =
-    let num_vars, clauses = Consensus_textio.Formats.load_cnf input in
-    let inst = Consensus_pdb.Maxsat.make ~num_vars ~clauses in
-    let assign, opt = Consensus_pdb.Maxsat.solve_exact inst in
-    Printf.printf "median world size = MAX-2-SAT optimum = %d / %d clauses\n" opt
-      (Array.length clauses);
-    Printf.printf "assignment: %s\n"
-      (Array.to_list assign
-      |> List.mapi (fun i b -> Printf.sprintf "x%d=%b" (i + 1) b)
-      |> String.concat " ")
+    let code =
+      handle (fun () ->
+          let num_vars, clauses = load Formats.load_cnf input in
+          let inst = Consensus_pdb.Maxsat.make ~num_vars ~clauses in
+          let assign, opt = Consensus_pdb.Maxsat.solve_exact inst in
+          Printf.printf
+            "median world size = MAX-2-SAT optimum = %d / %d clauses\n" opt
+            (Array.length clauses);
+          Printf.printf "assignment: %s\n"
+            (Array.to_list assign
+            |> List.mapi (fun i b -> Printf.sprintf "x%d=%b" (i + 1) b)
+            |> String.concat " "))
+    in
+    if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "maxsat"
@@ -989,14 +1002,7 @@ let serve_cmd =
           let dbs =
             List.map
               (fun (name, file) ->
-                match Consensus_textio.Formats.load_db file with
-                | db -> (name, db)
-                | exception Sys_error msg ->
-                    Printf.eprintf "consensus: --db %s: %s\n" name msg;
-                    raise (Exit_code 2)
-                | exception Failure msg ->
-                    Printf.eprintf "consensus: --db %s=%s: %s\n" name file msg;
-                    raise (Exit_code 2))
+                (name, load Formats.load_db file))
               specs
           in
           let config =

@@ -98,4 +98,4 @@ let brute_force_median t =
   |> Option.get
 
 let joint_distribution t =
-  Genfunc.mpoly (fun a -> Mpoly.var (t.group a)) (Db.tree t.db)
+  Genfunc.mpoly (fun i -> Mpoly.var (t.group (Db.alt t.db i))) (Db.arena t.db)

@@ -88,8 +88,8 @@ let expected_jaccard db w =
   let size_w = List.length w in
   let f =
     Genfunc.bivariate
-      (fun (i, _) -> if in_w.(i) then Poly2.x else Poly2.y)
-      (Tree.indexed (Db.tree db))
+      (fun i -> if in_w.(i) then Poly2.x else Poly2.y)
+      (Db.arena db)
   in
   (* coefficient of x^i y^j: Pr(|pw ∩ W| = i ∧ |pw \ W| = j);
      d_J = (|W| - i + j) / (|W| + j), with 0/0 = 0. *)

@@ -4,8 +4,7 @@ module Prng = Consensus_util.Prng
 module Gen = Consensus_workload.Gen
 module Obs = Consensus_obs.Obs
 module Db = Consensus_anxor.Db
-module Tree = Consensus_anxor.Tree
-module Genfunc = Consensus_anxor.Genfunc
+module Worlds = Consensus_anxor.Worlds
 module Marginals = Consensus_anxor.Marginals
 module Poly1 = Consensus_poly.Poly1
 
@@ -245,62 +244,89 @@ let check_case ~pool ~pool1 (case : Corpus.case) =
                     opt)
           Metamorph.all
       end;
-      (* 5. representation parity: the flat-arena kernels against their
-         pointer-tree predecessors, on this case's database.  The arena
-         evaluators mirror the tree fold order op-for-op, so agreement is
-         expected to the last bit; the tolerant comparison is the referee
-         for the one sweep ([rank_table_fast]) whose fallback recomputation
-         may re-associate a product. *)
+      (* 5. kernels vs the oracle: the generating-function kernels on this
+         case's database against sums over its enumerated possible worlds —
+         world sizes, leaf marginals and per-key rank distributions (a
+         present leaf's rank is one plus the number of present leaves of
+         strictly larger value).  On BID inputs with distinct scores, the
+         O(n·k) sweep behind [rank_table] must match the per-key
+         [rank_dist]; the sweep's ill-conditioned fallback may re-associate
+         a product, hence the tolerant comparison. *)
       (match q with
       | Api.Aggregate _ -> () (* matrix input; [db] is a placeholder *)
       | _ ->
-          let tree = Db.tree db in
-          ensure "parity:size-distribution"
-            (fun () -> "arena and tree size distributions differ")
-            (Poly1.equal ~eps:1e-12
-               (Marginals.size_distribution db)
-               (Genfunc.size_distribution tree));
-          List.iteri
-            (fun i (_, m) ->
-              ensure "parity:marginals"
-                (fun () ->
-                  Printf.sprintf "leaf %d: arena marginal %.17g vs tree %.17g" i
-                    (Db.marginal db i) m)
-                (approx_eq (Db.marginal db i) m))
-            (Tree.marginals tree);
           let n = Db.num_alts db in
           let k = min n 5 in
-          for l = 0 to n - 1 do
-            let ra = Marginals.rank_dist_alt db l ~k in
-            let rt = Marginals.rank_dist_alt_tree db l ~k in
-            for j = 0 to k - 1 do
-              ensure "parity:rank-dist-alt"
+          let keys = Db.keys db in
+          let row key =
+            let rec go i = if keys.(i) = key then i else go (i + 1) in
+            go 0
+          in
+          let sizes = Array.make (n + 1) 0. in
+          let marg = Array.make n 0. in
+          let ranks = Array.make_matrix (Array.length keys) k 0. in
+          Worlds.fold (Db.itree db) ~init:() ~f:(fun () p ids ->
+              sizes.(List.length ids) <- sizes.(List.length ids) +. p;
+              List.iter
+                (fun l ->
+                  marg.(l) <- marg.(l) +. p;
+                  let v = (Db.alt db l).value in
+                  let r =
+                    List.fold_left
+                      (fun r i -> if (Db.alt db i).value > v then r + 1 else r)
+                      1 ids
+                  in
+                  if r <= k then begin
+                    let dist = ranks.(row (Db.alt db l).key) in
+                    dist.(r - 1) <- dist.(r - 1) +. p
+                  end)
+                ids);
+          let f = Marginals.size_distribution db in
+          Array.iteri
+            (fun i v ->
+              ensure "oracle-kernel:size-distribution"
                 (fun () ->
-                  Printf.sprintf "leaf %d rank %d: arena %.17g vs tree %.17g" l
-                    (j + 1) ra.(j) rt.(j))
-                (approx_eq ra.(j) rt.(j))
-            done
-          done;
-          if Db.xor_blocks db <> None && Db.scores_distinct db then begin
-            let fast = Marginals.rank_table_fast db ~k in
-            let slow = Marginals.rank_table_fast_tree db ~k in
-            List.iter2
-              (fun (key, ra) (key', rt) ->
-                assert (key = key');
+                  Printf.sprintf "Pr(|pw| = %d): kernel %.17g vs worlds %.17g" i
+                    (Poly1.coeff f i) v)
+                (approx_eq (Poly1.coeff f i) v))
+            sizes;
+          Array.iteri
+            (fun l v ->
+              ensure "oracle-kernel:marginal"
+                (fun () ->
+                  Printf.sprintf "leaf %d: kernel %.17g vs worlds %.17g" l
+                    (Db.marginal db l) v)
+                (approx_eq (Db.marginal db l) v))
+            marg;
+          let dists = Array.map (fun key -> Marginals.rank_dist db key ~k) keys in
+          Array.iteri
+            (fun r key ->
+              Array.iteri
+                (fun j v ->
+                  ensure "oracle-kernel:rank-dist"
+                    (fun () ->
+                      Printf.sprintf "key %d rank %d: kernel %.17g vs worlds %.17g"
+                        key (j + 1) dists.(r).(j) v)
+                    (approx_eq dists.(r).(j) v))
+                ranks.(r))
+            keys;
+          if k > 0 && Db.is_bid db && Db.scores_distinct db then
+            List.iteri
+              (fun r (key, sweep) ->
+                let d = dists.(r) in
                 Array.iteri
                   (fun j v ->
-                    ensure "parity:rank-table-fast"
+                    ensure "oracle-kernel:rank-table"
                       (fun () ->
                         Printf.sprintf
-                          "key %d rank %d: arena sweep %.12g vs tree sweep %.12g"
-                          key (j + 1) v rt.(j))
-                      (approx_eq v rt.(j)))
-                  ra)
-              fast slow
-          end;
-          ensure "parity:round-trip-digest"
+                          "key %d rank %d: sweep %.12g vs rank_dist %.12g" key
+                          (j + 1) v d.(j))
+                      (approx_eq v d.(j)))
+                  sweep)
+              (Marginals.rank_table ~pool db ~k);
+          ensure "round-trip-digest"
             (fun () -> "rebuilding the arena from the tree changes the digest")
-            (Db.digest (Db.create ~check:false tree) = Db.digest db));
+            (Db.digest (Db.create ~check:false (Db.tree db)) = Db.digest db));
       None
     with
     | Fail (name, detail) -> Some (name, detail)

@@ -1,7 +1,7 @@
 (** Differential fuzz driver.
 
     Generates small random instances per consensus family and subjects each
-    to four check layers:
+    to five check layers:
 
     - {e config grid}: {!Api.run} under cache off/on and jobs 1/N must
       return structurally identical answers (the engine's determinism
@@ -16,7 +16,12 @@
     - {e metamorphic}: on every applicable rewrite ({!Metamorph.all}) of
       the instance, the optimal target value must be unchanged (checked
       through {!Api.run} for exact queries and through the oracle for
-      heuristic ones).
+      heuristic ones);
+    - {e kernels}: the instance's world-size distribution, leaf marginals
+      and per-key rank distributions must match sums over its enumerated
+      possible worlds, the BID rank-table sweep must match the per-key
+      rank distributions, and the arena must survive a round trip through
+      its tree view with an unchanged digest.
 
     A failing case is greedily shrunk ({!Shrink.shrink}) and, when a corpus
     directory is configured, promoted to a regression file that

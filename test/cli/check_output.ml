@@ -26,7 +26,12 @@
                                       POST /query (good, malformed, unknown
                                       db), scrape /metrics for the serve
                                       counters, then GET /quit and await a
-                                      clean exit *)
+                                      clean exit
+     check_output input-error CLI CMD FILE
+                                      run `CLI CMD -i FILE` on an unreadable
+                                      or malformed FILE: exit 2 with one
+                                      "consensus: ..." line naming FILE on
+                                      stderr, not an uncaught exception *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
@@ -766,6 +771,33 @@ let check_serve_daemon cli db =
      clean exit\n"
     requests
 
+(* ---------- input-error mode *)
+
+let check_input_error cli cmd file =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let err_read, err_write = Unix.pipe () in
+  let pid =
+    Unix.create_process cli [| cli; cmd; "-i"; file |] Unix.stdin null err_write
+  in
+  Unix.close null;
+  Unix.close err_write;
+  let err = In_channel.input_all (Unix.in_channel_of_descr err_read) in
+  Unix.close err_read;
+  let what = Printf.sprintf "input-error %s -i %s" cmd file in
+  (match snd (Unix.waitpid [] pid) with
+  | Unix.WEXITED 2 -> ()
+  | Unix.WEXITED n -> fail "%s: exit %d, expected 2; stderr:\n%s" what n err
+  | Unix.WSIGNALED n | Unix.WSTOPPED n -> fail "%s: killed by signal %d" what n);
+  let prefix = "consensus: " in
+  if
+    not
+      (String.length err > String.length prefix
+      && String.sub err 0 (String.length prefix) = prefix)
+  then fail "%s: stderr does not start with %S: %S" what prefix err;
+  if not (contains err file) then fail "%s: message does not name the file: %S" what err;
+  if contains err "exception" then fail "%s: uncaught exception: %S" what err;
+  Printf.printf "input-error ok: %s" err
+
 let () =
   match Array.to_list Sys.argv with
   | [ _; "trace"; path ] -> check_trace path
@@ -780,10 +812,11 @@ let () =
       check_explain_json out_path err_path
   | [ _; "serve"; cli; db; batch ] -> check_serve cli db batch
   | [ _; "serve-daemon"; cli; db ] -> check_serve_daemon cli db
+  | [ _; "input-error"; cli; cmd; file ] -> check_input_error cli cmd file
   | _ ->
       prerr_endline
         "usage: check_output (trace FILE | trace-lite FILE | metrics FILE | \
          metrics-line FILE | stderr-report OUT ERR | batch OUT ERR | explain \
          OUT ERR | explain-json OUT ERR | serve CLI DB BATCH | serve-daemon \
-         CLI DB)";
+         CLI DB | input-error CLI CMD FILE)";
       exit 2

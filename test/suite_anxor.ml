@@ -44,8 +44,10 @@ let test_figure1_size_distribution () =
 
 let test_figure1_block_genfuncs () =
   (* Per-block annotations from Figure 1(i). *)
-  let block ps = Tree.xor (List.map (fun p -> (p, Tree.leaf ())) ps) in
-  let gf ps = Genfunc.univariate (fun () -> Poly1.x) (block ps) in
+  let block ps =
+    Db.arena (Db.bid [ (0, List.mapi (fun i p -> (p, float_of_int i)) ps) ])
+  in
+  let gf ps = Genfunc.univariate (fun _ -> Poly1.x) (block ps) in
   Alcotest.check poly1_testable "0.4+0.6x" (Poly1.of_coeffs [| 0.4; 0.6 |]) (gf [ 0.1; 0.5 ]);
   Alcotest.check poly1_testable "0.2+0.8x" (Poly1.of_coeffs [| 0.2; 0.8 |]) (gf [ 0.4; 0.4 ]);
   Alcotest.check poly1_testable "x" Poly1.x (gf [ 0.2; 0.8 ]);
@@ -190,7 +192,7 @@ let test_size_distribution_vs_enumeration () =
   let g = rng () in
   for _ = 1 to 20 do
     let t = Consensus_workload.Gen.random_tree g (3 + Prng.int g 7) in
-    let f = Genfunc.size_distribution t in
+    let f = Marginals.size_distribution (Db.create t) in
     let worlds = Worlds.enumerate t in
     for size = 0 to Poly1.degree f do
       let direct =
@@ -208,7 +210,11 @@ let test_subset_size_distribution () =
     let t = Consensus_workload.Gen.random_tree g 8 in
     let it = Tree.indexed t in
     let mem (i, _) = i mod 2 = 0 in
-    let f = Genfunc.subset_size_distribution mem it in
+    let f =
+      Genfunc.subset_size_distribution
+        (fun i -> i mod 2 = 0)
+        (Db.arena (Db.create t))
+    in
     let worlds = Worlds.enumerate it in
     for c = 0 to Poly1.degree f do
       let direct =
@@ -299,7 +305,7 @@ let test_expectation_and_monte_carlo () =
   let mc = Worlds.monte_carlo g ~samples:30_000 t ~f in
   Alcotest.(check bool) "MC close to exact" true (abs_float (exact -. mc) < 0.1);
   check_floatl "matches genfunc expectation" exact
-    (Poly1.expectation (Genfunc.size_distribution t))
+    (Poly1.expectation (Marginals.size_distribution (Db.create t)))
 
 (* ---------- Rank distributions ---------- *)
 
@@ -365,7 +371,7 @@ let test_rank_table_fast_matches_slow () =
       else Consensus_workload.Gen.bid_db ~max_alts:3 ~forced_fraction:0.5 g (2 + Prng.int g 6)
     in
     let k = 1 + Prng.int g 4 in
-    let fast = Marginals.rank_table_fast db ~k in
+    let fast = Marginals.rank_table db ~k in
     List.iter
       (fun (key, dist) ->
         let direct = Marginals.rank_dist db key ~k in
@@ -398,7 +404,7 @@ let test_rank_table_fast_matches_slow () =
     let db = Db.create (Tree.bid blocks) in
     if Db.scores_distinct db then begin
       let k = 1 + Prng.int g 3 in
-      let fast = Marginals.rank_table_fast db ~k in
+      let fast = Marginals.rank_table db ~k in
       List.iter
         (fun (key, dist) ->
           let direct = Marginals.rank_dist db key ~k in
@@ -411,13 +417,16 @@ let test_rank_table_fast_matches_slow () =
         fast
     end
   done;
-  (* correlated trees are rejected *)
-  let db = Consensus_workload.Gen.random_tree_db g 6 in
-  if not (Db.is_bid db || Db.is_independent db) then
-    try
-      ignore (Marginals.rank_table_fast db ~k:2);
-      Alcotest.fail "correlated tree accepted"
-    with Invalid_argument _ -> ()
+  (* the sweep rejects correlated trees and k <= 0, naming itself *)
+  let rejects what msg f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument m -> Alcotest.(check string) what msg m
+  in
+  rejects "non-BID tree" "Marginals.rank_table_dense: requires a BID-shaped database"
+    (fun () -> Marginals.rank_table_dense (fig1_iii ()) ~k:2);
+  rejects "k = 0" "Marginals.rank_table_dense: k must be positive" (fun () ->
+      Marginals.rank_table_dense (fig1_i ()) ~k:0)
 
 let test_topk_pair_vs_enumeration () =
   let g = rng () in
@@ -518,24 +527,23 @@ let test_full_rank_dist () =
 let test_bipoly_engine_vs_bivariate () =
   let g = rng () in
   for _ = 1 to 10 do
-    let t = Consensus_workload.Gen.random_tree g 7 in
-    let it = Tree.indexed t in
+    let a = Db.arena (Consensus_workload.Gen.random_tree_db g 7) in
     (* y on leaf 0, x on odd leaves. *)
     let bip =
       Genfunc.bipoly
-        (fun (i, _) ->
+        (fun i ->
           if i = 0 then Bipoly.y
           else if i mod 2 = 1 then Bipoly.x
           else Bipoly.one)
-        it
+        a
     in
     let p2 =
       Genfunc.bivariate
-        (fun (i, _) ->
+        (fun i ->
           if i = 0 then Poly2.y
           else if i mod 2 = 1 then Poly2.x
           else Poly2.one)
-        it
+        a
     in
     for d = 0 to max (Poly1.degree bip.Bipoly.a) (Poly2.degree_x p2) do
       check_floatl "y^0 parts agree" (Poly2.coeff p2 d 0) (Poly1.coeff bip.Bipoly.a d);
@@ -546,11 +554,10 @@ let test_bipoly_engine_vs_bivariate () =
 let test_mpoly_engine_vs_enumeration () =
   let g = rng () in
   for _ = 1 to 5 do
-    let t = Consensus_workload.Gen.random_tree g 6 in
-    let it = Tree.indexed t in
+    let db = Consensus_workload.Gen.random_tree_db g 6 in
     (* Three variables: leaf i gets variable i mod 3. *)
-    let f = Genfunc.mpoly (fun (i, _) -> Mpoly.var (i mod 3)) it in
-    let worlds = Worlds.enumerate it in
+    let f = Genfunc.mpoly (fun i -> Mpoly.var (i mod 3)) (Db.arena db) in
+    let worlds = Worlds.enumerate (Tree.indexed (Db.tree db)) in
     (* Check a handful of monomials. *)
     Mpoly.fold
       (fun mono c () ->

@@ -28,7 +28,7 @@ let test_of_worlds_figure1 () =
   let t = Transform.of_worlds worlds in
   let db = Db.create t in
   check_float "t3 marginal" 0.6 (Db.key_marginal db 3);
-  let sizes = Genfunc.size_distribution t in
+  let sizes = Marginals.size_distribution db in
   check_float "always 3 tuples" 1. (Consensus_poly.Poly1.coeff sizes 3)
 
 let test_of_worlds_residual () =
