@@ -11,8 +11,9 @@ let correctness () =
   let ok = ref 0 in
   for _ = 1 to trials do
     let t = Gen.random_tree g (4 + Prng.int g 8) in
-    let f = Marginals.size_distribution (Db.create t) in
-    let worlds = Worlds.enumerate t in
+    let db = Db.create t in
+    let f = Marginals.size_distribution db in
+    let worlds = Worlds.enumerate (Db.arena db) in
     let good = ref true in
     for size = 0 to Poly1.degree f do
       let direct =

@@ -9,7 +9,7 @@ module Gen = Consensus_workload.Gen
 
 (* Explicit representation cost of a distribution: Σ_worlds (1 + |world|). *)
 let explicit_cells t =
-  Worlds.enumerate t
+  Worlds.enumerate (Arena.of_tree ~key:Fun.id ~value:(fun _ -> 0.) t)
   |> List.fold_left (fun acc (_, w) -> acc + 1 + List.length w) 0
 
 let run () =

@@ -20,11 +20,11 @@ let run () =
     let db = Gen.clustering_db ~num_values:6 g (2 + Prng.int g 4) in
     let t = Aggregate_tree.make db ~group:(group_of 3) ~num_groups:3 in
     let direct = Array.make 3 0. in
-    Worlds.enumerate (Db.tree db)
+    Worlds.enumerate (Db.arena db)
     |> List.iter (fun (p, w) ->
            Array.iteri
              (fun v c -> direct.(v) <- direct.(v) +. (p *. c))
-             (Aggregate_tree.counts_of_world t w));
+             (Aggregate_tree.counts_of_world t (List.map (Db.alt db) w)));
     if Fcmp.compare_arrays ~eps:1e-9 direct (Aggregate_tree.mean t) then
       incr mean_ok;
     let _, brute = Aggregate_tree.brute_force_median t in

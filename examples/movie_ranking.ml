@@ -20,7 +20,8 @@ let () =
   Printf.printf "catalogue: %d movies, %d rating alternatives, <= %.3g possible worlds\n\n"
     n
     (Consensus_anxor.Db.num_alts db)
-    (Consensus_anxor.Tree.count_worlds (Consensus_anxor.Db.tree db));
+    Consensus_anxor.(
+      Tree.count_worlds (Arena.to_tree ~leaf:(fun ~key:_ ~value:_ -> ()) (Db.arena db)));
 
   let ctx = Topk_consensus.make_ctx db ~k in
   (* U-Top-k explodes when the probability mass over answers is diffuse

@@ -47,9 +47,13 @@ let () =
   List.iter
     (fun (p, world) ->
       Printf.printf "  %.1f  {%s}\n" p
-        (List.map (fun (a : Db.alt) -> Printf.sprintf "(t%d,%g)" a.key a.value) world
+        (List.map
+           (fun i ->
+             let a = Db.alt db3 i in
+             Printf.sprintf "(t%d,%g)" a.key a.value)
+           world
         |> String.concat ", "))
-    (Worlds.enumerate (Db.tree db3));
+    (Worlds.enumerate (Db.arena db3));
 
   (* The annotated generating function 0.3 y + 0.3 x^2 + 0.4 x: y on the
      leaf (t3,6), x on every leaf with score > 6. *)

@@ -22,7 +22,7 @@ let () =
   in
   Printf.printf "papers: %d, alternatives: %d, possible worlds <= %.0f\n\n"
     (Db.num_keys db) (Db.num_alts db)
-    (Tree.count_worlds (Db.tree db));
+    (Tree.count_worlds (Arena.to_tree ~leaf:(fun ~key:_ ~value:_ -> ()) (Db.arena db)));
 
   (* Tuple marginals and rank distributions come from generating functions. *)
   let k = 2 in

@@ -1,17 +1,21 @@
 (** Flat int-indexed arena representation of an and/xor tree.
 
-    A structure-of-arrays twin of {!Tree.t} built for massive databases: node
-    kinds, CSR child ranges, xor edge probabilities and leaf payloads all
-    live in flat arrays, so the generating-function kernels can walk the
-    model without pointer chasing, per-node allocation, or OCaml-stack
-    recursion (see docs/ARENA.md for the layout and its invariants).
+    The only runtime form of a database ({!Tree.t} is for construction and
+    rewrites): node kinds, CSR child ranges, xor edge probabilities and leaf
+    payloads all live in flat arrays, so the kernels, the world enumerator
+    and sampler and the tree DPs walk the model without pointer chasing,
+    per-node allocation, or OCaml-stack recursion (see docs/ARENA.md for the
+    layout and its invariants).
 
     Node ids are depth-first pre-order: [root] is the smallest id of the
     component, children carry larger ids than their parent, and leaf indices
     increase left-to-right, matching [Tree.index]'s depth-first numbering.
+    A sweep over node ids in descending order therefore visits every child
+    before its parent.
 
-    The record fields are exposed read-only ([private]) for the kernels in
-    {!Genfunc} and {!Marginals}; treat every array as immutable. *)
+    The record fields are exposed read-only ([private]) for the walkers in
+    {!Genfunc}, {!Marginals}, {!Worlds} and the consensus tree DPs; treat
+    every array as immutable. *)
 
 type t = private {
   kinds : Bytes.t;  (** per node: 0 leaf, 1 and, 2 xor *)
@@ -53,9 +57,9 @@ val leaf_paths : t -> (int * int * float) array array
     [(xor node id, child position, edge probability)], outermost first. *)
 
 val check_keys : t -> (unit, string) result
-(** The key constraint of Definition 1 (same check as {!Tree.check_keys},
-    without the recursion): the LCA of two same-key leaves must be an xor
-    node. *)
+(** The key constraint of Definition 1, checked without recursion: the LCA
+    of two same-key leaves must be an xor node (so that no possible world
+    contains the same key twice). *)
 
 val bid_shape : t -> singleton:bool -> bool
 (** An [And] of [Xor] nodes over leaves; [singleton] additionally requires

@@ -2,11 +2,6 @@ type alt = { key : int; value : float }
 
 type t = {
   arena : Arena.t;
-  (* Pointer-tree views, materialized on demand: the arena is the canonical
-     representation, and the streaming loader never builds a tree at all.
-     [create] seeds [tree_v] with the caller's tree for free. *)
-  tree_v : alt Tree.t Lazy.t;
-  itree_v : int Tree.t Lazy.t;
   alts : alt array;
   keys : int array;
   alts_of_key : (int, int list) Hashtbl.t;
@@ -20,19 +15,7 @@ type t = {
   mutable digest : string option;
 }
 
-(* Serializes lazy forcing: [Lazy.force] from two domains at once raises
-   [Lazy.Undefined], and databases are shared read-only across the pool. *)
-let force_lock = Mutex.create ()
-
-let force_shared (v : _ Lazy.t) =
-  if Lazy.is_val v then Lazy.force v
-  else begin
-    Mutex.lock force_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock force_lock) (fun () ->
-        Lazy.force v)
-  end
-
-let of_arena_internal ?(check = true) ~tree_v arena =
+let of_arena ?(check = true) arena =
   if check then begin
     match Arena.check_keys arena with
     | Ok () -> ()
@@ -56,24 +39,10 @@ let of_arena_internal ?(check = true) ~tree_v arena =
   in
   let marginals = Arena.marginals arena in
   let paths = Arena.leaf_paths arena in
-  let itree_v =
-    lazy
-      (let counter = ref (-1) in
-       Arena.to_tree arena ~leaf:(fun ~key:_ ~value:_ ->
-           incr counter;
-           !counter))
-  in
-  { arena; tree_v; itree_v; alts; keys; alts_of_key; marginals; paths; digest = None }
-
-let of_arena ?check arena =
-  let tree_v = lazy (Arena.to_tree arena ~leaf:(fun ~key ~value -> { key; value })) in
-  of_arena_internal ?check ~tree_v arena
+  { arena; alts; keys; alts_of_key; marginals; paths; digest = None }
 
 let create ?check tree =
-  let arena =
-    Arena.of_tree ~key:(fun a -> a.key) ~value:(fun a -> a.value) tree
-  in
-  of_arena_internal ?check ~tree_v:(Lazy.from_val tree) arena
+  of_arena ?check (Arena.of_tree ~key:(fun a -> a.key) ~value:(fun a -> a.value) tree)
 
 let independent tuples =
   create (Tree.independent (List.map (fun (k, v, p) -> (p, { key = k; value = v })) tuples))
@@ -86,8 +55,6 @@ let bid blocks =
           blocks))
 
 let arena db = db.arena
-let tree db = force_shared db.tree_v
-let itree db = force_shared db.itree_v
 let num_alts db = Array.length db.alts
 let num_keys db = Array.length db.keys
 let keys db = Array.copy db.keys
@@ -186,4 +153,4 @@ let digest db =
 
 let pp ppf db =
   let pp_alt ppf a = Format.fprintf ppf "(t%d,%g)" a.key a.value in
-  Tree.pp pp_alt ppf (tree db)
+  Tree.pp pp_alt ppf (Arena.to_tree ~leaf:(fun ~key ~value -> { key; value }) db.arena)

@@ -16,12 +16,13 @@ val create : ?check:bool -> alt Tree.t -> t
 (** Validate ([check] defaults to [true]: key constraint; probability
     constraints are enforced by [Tree.xor] already) and pre-compute leaf
     indexing and marginals.  Raises [Invalid_argument] on violation.
-    The tree is flattened into an {!Arena.t} — the canonical in-memory
-    representation the kernels run on. *)
+    The tree is flattened into an {!Arena.t}, the only form a database
+    holds: [create t] is [of_arena (Arena.of_tree ... t)]. *)
 
 val of_arena : ?check:bool -> Arena.t -> t
-(** Wrap an arena (e.g. from [Sexp_io.parse_stream]) without ever building a
-    pointer tree; {!tree}/{!itree} materialize one lazily if asked. *)
+(** Wrap an arena (e.g. from [Sexp_io.parse_stream]).  Code that rewrites or
+    prints a database converts explicitly with [Arena.to_tree (arena db)];
+    nothing is memoized. *)
 
 val independent : (int * float * float) list -> t
 (** [independent [(key, value, prob); ...]] — tuple-independent database. *)
@@ -31,13 +32,8 @@ val bid : (int * (float * float) list) list -> t
     database: per key, a set of mutually exclusive alternatives. *)
 
 val arena : t -> Arena.t
-(** The flat arena the kernels evaluate over. *)
-
-val tree : t -> alt Tree.t
-val itree : t -> int Tree.t
-(** The same tree with leaves replaced by their depth-first indices.  Both
-    tree views are materialized from the arena on first use (and memoized);
-    safe to call from pool workers. *)
+(** The flat arena every kernel, {!Worlds} walk and tree DP runs over.  Its
+    leaf indices are the database's leaf indices. *)
 
 val num_alts : t -> int
 (** Number of leaves (alternatives). *)

@@ -463,4 +463,5 @@ let db_of_string s =
       | db -> Ok db
       | exception Invalid_argument msg -> Error msg)
 
-let db_to_string db = to_string (Db.tree db)
+let db_to_string db =
+  to_string (Arena.to_tree ~leaf:(fun ~key ~value -> { Db.key; value }) (Db.arena db))

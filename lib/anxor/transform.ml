@@ -122,10 +122,11 @@ let condition_absent pred t =
 
 let is_equivalent ?limit t1 t2 =
   let table t =
+    let it, payloads = Tree.index t in
     let tbl = Hashtbl.create 64 in
-    Worlds.enumerate ?limit t
+    Worlds.enumerate ?limit (Arena.of_tree ~key:Fun.id ~value:(fun _ -> 0.) it)
     |> List.iter (fun (p, w) ->
-           let key = List.sort compare w in
+           let key = List.sort compare (List.map (Array.get payloads) w) in
            Hashtbl.replace tbl key
              (p +. Option.value (Hashtbl.find_opt tbl key) ~default:0.));
     tbl

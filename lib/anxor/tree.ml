@@ -138,111 +138,6 @@ let rec count_worlds = function
       let base = List.fold_left (fun acc (_, c) -> acc +. count_worlds c) 0. es in
       if total_p < 1. -. prob_eps then base +. 1. else base
 
-let num_possible_leaf_sets = count_worlds
-
-let marginals t =
-  let acc = ref [] in
-  let stack = ref [ (1., t) ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | (prob, Leaf a) :: rest ->
-        acc := (a, prob) :: !acc;
-        stack := rest
-    | (prob, And cs) :: rest ->
-        stack := List.rev_append (List.rev_map (fun c -> (prob, c)) cs) rest
-    | (prob, Xor es) :: rest ->
-        stack :=
-          List.rev_append (List.rev_map (fun (p, c) -> (prob *. p, c)) es) rest
-  done;
-  List.rev !acc
-
-let check_keys ~key t =
-  let exception Dup in
-  (* Subtree key sets as hash tables keyed by the (polymorphic) key value;
-     an [And] node whose children share a key violates Definition 1 because
-     the LCA of the two leaves would be that [And] node. *)
-  let union_into ~disjoint dst src =
-    Hashtbl.iter
-      (fun k () ->
-        if disjoint && Hashtbl.mem dst k then raise Dup;
-        Hashtbl.replace dst k ())
-      src
-  in
-  let rec go = function
-    | Leaf a ->
-        let h = Hashtbl.create 4 in
-        Hashtbl.replace h (key a) ();
-        h
-    | Xor es ->
-        let h = Hashtbl.create 16 in
-        List.iter (fun (_, c) -> union_into ~disjoint:false h (go c)) es;
-        h
-    | And cs ->
-        let h = Hashtbl.create 16 in
-        List.iter (fun c -> union_into ~disjoint:true h (go c)) cs;
-        h
-  in
-  match ignore (go t) with
-  | () -> Ok ()
-  | exception Dup ->
-      Error "key constraint violated: two leaves with the same key have an And LCA"
-
-let world_is_possible ~eq t world =
-  (* Multiset membership with backtracking over ambiguous And partitions. *)
-  let remove_one x l =
-    let rec go acc = function
-      | [] -> None
-      | y :: rest -> if eq x y then Some (List.rev_append acc rest) else go (y :: acc) rest
-    in
-    go [] l
-  in
-  let rec subtree_leaves = function
-    | Leaf a -> [ a ]
-    | And cs -> List.concat_map subtree_leaves cs
-    | Xor es -> List.concat_map (fun (_, c) -> subtree_leaves c) es
-  in
-  let mem_subtree a c = List.exists (eq a) (subtree_leaves c) in
-  let rec possible node w =
-    match node with
-    | Leaf a -> ( match w with [ b ] when eq a b -> true | _ -> false)
-    | Xor es ->
-        let residual = 1. -. List.fold_left (fun acc (p, _) -> acc +. p) 0. es in
-        let via_child = List.exists (fun (p, c) -> p > 0. && possible c w) es in
-        via_child || (w = [] && residual > prob_eps)
-    | And cs -> partition cs w
-  and partition children w =
-    match children with
-    | [] -> w = []
-    | [ c ] -> possible c w
-    | c :: rest ->
-        (* Elements only matchable inside [c] must go to [c]; elements
-           matchable in both [c] and the rest branch. *)
-        let rec assign w_c w_rest = function
-          | [] -> possible c w_c && partition rest w_rest
-          | a :: todo ->
-              let in_c = mem_subtree a c in
-              let in_rest = List.exists (mem_subtree a) rest in
-              if in_c && in_rest then
-                assign (a :: w_c) w_rest todo || assign w_c (a :: w_rest) todo
-              else if in_c then assign (a :: w_c) w_rest todo
-              else if in_rest then assign w_c (a :: w_rest) todo
-              else false
-        in
-        assign [] [] w
-  in
-  (* Fast failure: every world element must be a leaf of the tree. *)
-  let all_leaves = subtree_leaves t in
-  let rec covered w remaining =
-    match w with
-    | [] -> true
-    | a :: rest -> (
-        match remove_one a remaining with
-        | None -> false
-        | Some remaining -> covered rest remaining)
-  in
-  covered world all_leaves && possible t world
-
 let pp pp_leaf ppf t =
   let rec go ppf = function
     | Leaf a -> Format.fprintf ppf "%a" pp_leaf a

@@ -8,7 +8,11 @@
 
     The model subsumes tuple-independent databases, x-tuples / p-or-sets and
     block-independent-disjoint (BID) tables, and can encode arbitrary finite
-    possible-world distributions (Figure 1 of the paper). *)
+    possible-world distributions (Figure 1 of the paper).
+
+    This pointer form is for building and rewriting models; a database holds
+    only the flat {!Arena.t} built from it, and every analysis (marginals,
+    key checks, world enumeration and sampling) runs there. *)
 
 type 'a t = private
   | Leaf of 'a
@@ -59,29 +63,12 @@ val indexed : 'a t -> (int * 'a) t
 val filter_leaves : ('a -> bool) -> 'a t -> 'a t
 (** Remove leaves not satisfying the predicate.  Xor edges whose subtree
     loses all leaves keep their probability mass but produce the empty set,
-    preserving the distribution of the remaining leaves (used by the median
-    top-k dynamic program, Theorem 4). *)
+    preserving the distribution of the remaining leaves (used by the fuzz
+    shrinker to drop one leaf). *)
 
 val count_worlds : 'a t -> float
 (** Upper bound (exact absent duplicate world-sets) on the number of distinct
     possible worlds, as a float to tolerate overflow. *)
-
-val num_possible_leaf_sets : 'a t -> float
-(** Alias of {!count_worlds}. *)
-
-val marginals : 'a t -> ('a * float) list
-(** Presence probability of each leaf, in depth-first order: the product of
-    the xor-edge probabilities on its root path. *)
-
-val check_keys : key:('a -> 'k) -> 'a t -> (unit, string) result
-(** Verify the key constraint of Definition 1: the least common ancestor of
-    two distinct leaves holding the same key is an [Xor] node (so that no
-    possible world contains the same key twice). *)
-
-val world_is_possible : eq:('a -> 'a -> bool) -> 'a t -> 'a list -> bool
-(** [world_is_possible ~eq t w]: does the leaf multiset [w] occur as a
-    possible world of [t] with non-zero probability?  Exponential in the
-    worst case; intended for tests and small instances. *)
 
 val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
 (** S-expression-ish rendering for debugging. *)

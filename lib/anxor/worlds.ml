@@ -1,139 +1,114 @@
 let default_limit = 200_000
 
-(* Worlds are accumulated as (probability, reversed leaf list). *)
-let enumerate_rev ?(limit = default_limit) t =
-  let check_size l =
-    if List.length l > limit then
-      invalid_arg
-        (Printf.sprintf "Worlds.enumerate: more than %d worlds" limit)
+(* The single enumeration core: worlds as (probability, reversed leaf-index
+   list) accumulators, produced lazily so the brute-force oracle can stream
+   instances whose world count exceeds any list [limit]. *)
+let to_seq (a : Arena.t) =
+  let child v j = a.children.(a.child_start.(v) + j) in
+  let rec go v : (float * int list) Seq.t =
+    let count = a.child_count.(v) in
+    if Arena.is_leaf a v then Seq.return (1., [ a.leaf_ix.(v) ])
+    else if Arena.kind a v = Arena.kind_xor then begin
+      let total = ref 0. in
+      for j = 0 to count - 1 do
+        total := !total +. a.eprob.(child v j)
+      done;
+      let residual = 1. -. !total in
+      let base =
+        Seq.init count (child v)
+        |> Seq.concat_map (fun c ->
+               let p = a.eprob.(c) in
+               Seq.map (fun (q, w) -> (p *. q, w)) (go c))
+      in
+      if residual > 1e-12 then Seq.cons (residual, []) base else base
+    end
+    else
+      Seq.fold_left
+        (fun acc c ->
+          Seq.concat_map
+            (fun (p, w) ->
+              Seq.map (fun (q, w') -> (p *. q, List.rev_append w' w)) (go c))
+            acc)
+        (Seq.return (1., []))
+        (Seq.init count (child v))
   in
-  let rec go t : (float * 'a list) list =
-    match (t : _ Tree.t) with
-    | Leaf a -> [ (1., [ a ]) ]
-    | Xor es ->
-        let total = List.fold_left (fun acc (p, _) -> acc +. p) 0. es in
-        let residual = 1. -. total in
-        let base =
-          List.concat_map
-            (fun (p, c) -> List.map (fun (q, w) -> (p *. q, w)) (go c))
-            es
-        in
-        let worlds = if residual > 1e-12 then (residual, []) :: base else base in
-        check_size worlds;
-        worlds
-    | And cs ->
-        List.fold_left
-          (fun acc c ->
-            let sub = go c in
-            let combined =
-              List.concat_map
-                (fun (p, w) ->
-                  List.map (fun (q, w') -> (p *. q, List.rev_append w' w)) sub)
-                acc
-            in
-            check_size combined;
-            combined)
-          [ (1., []) ]
-          cs
-  in
-  go t
+  Seq.map (fun (p, w) -> (p, List.rev w)) (go a.root)
 
-let enumerate ?limit t =
-  enumerate_rev ?limit t |> List.map (fun (p, w) -> (p, List.rev w))
+let fold a ~init ~f = Seq.fold_left (fun acc (p, w) -> f acc p w) init (to_seq a)
 
-let enumerate_merged ?limit t =
-  let it = Tree.indexed t in
-  let worlds = enumerate ?limit it in
+let enumerate ?(limit = default_limit) a =
+  let worlds = List.of_seq (Seq.take (limit + 1) (to_seq a)) in
+  if List.compare_length_with worlds limit > 0 then
+    invalid_arg (Printf.sprintf "Worlds.enumerate: more than %d worlds" limit);
+  worlds
+
+let enumerate_merged ?limit a =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun (p, w) ->
-      let sorted = List.sort (fun (i, _) (j, _) -> compare i j) w in
-      let ids = List.map fst sorted in
-      let payloads = List.map snd sorted in
-      match Hashtbl.find_opt tbl ids with
-      | Some (prob, _) -> Hashtbl.replace tbl ids (prob +. p, payloads)
-      | None -> Hashtbl.add tbl ids (p, payloads))
-    worlds;
-  Hashtbl.fold (fun ids (p, payloads) acc -> ((ids, payloads), p) :: acc) tbl []
-  |> List.sort (fun ((ids1, _), _) ((ids2, _), _) -> compare ids1 ids2)
+      let ids = List.sort compare w in
+      Hashtbl.replace tbl ids
+        (p +. Option.value (Hashtbl.find_opt tbl ids) ~default:0.))
+    (enumerate ?limit a);
+  Hashtbl.fold (fun ids p acc -> (ids, p) :: acc) tbl []
+  |> List.sort (fun (ids1, _) (ids2, _) -> compare ids1 ids2)
 
-let world_probability ?limit t ids =
+let world_probability ?limit a ids =
   let target = List.sort_uniq compare ids in
-  enumerate_merged ?limit t
-  |> List.fold_left
-       (fun acc ((w, _), p) -> if w = target then acc +. p else acc)
-       0.
+  enumerate_merged ?limit a
+  |> List.fold_left (fun acc (w, p) -> if w = target then acc +. p else acc) 0.
 
-(* Streaming twin of [enumerate]: the same worlds in the same order, as a
-   lazily-produced sequence.  Nothing is materialized, so the brute-force
-   oracle can walk instances whose world count exceeds [enumerate]'s list
-   [limit] without holding every world at once.  Mirrors [enumerate_rev]
-   choice-path by choice-path (accumulators are reversed leaf lists). *)
-let to_seq t =
-  let rec go (t : _ Tree.t) : (float * 'a list) Seq.t =
-    match t with
-    | Tree.Leaf a -> Seq.return (1., [ a ])
-    | Tree.Xor es ->
-        let total = List.fold_left (fun acc (p, _) -> acc +. p) 0. es in
-        let residual = 1. -. total in
-        let base =
-          List.to_seq es
-          |> Seq.concat_map (fun (p, c) ->
-                 Seq.map (fun (q, w) -> (p *. q, w)) (go c))
-        in
-        if residual > 1e-12 then Seq.cons (residual, []) base else base
-    | Tree.And cs ->
-        List.fold_left
-          (fun acc c ->
-            Seq.concat_map
-              (fun (p, w) ->
-                Seq.map (fun (q, w') -> (p *. q, List.rev_append w' w)) (go c))
-              acc)
-          (Seq.return (1., []))
-          cs
-  in
-  Seq.map (fun (p, w) -> (p, List.rev w)) (go t)
-
-let fold t ~init ~f =
-  Seq.fold_left (fun acc (p, w) -> f acc p w) init (to_seq t)
-
-let count t = Seq.fold_left (fun acc _ -> acc + 1) 0 (to_seq t)
-
-(* Iterative with an explicit work-list: sampling runs on production-sized
-   databases where the recursive walk would overflow the OCaml stack.  One
-   uniform draw per visited xor node, in depth-first order, exactly as the
-   recursive predecessor — seeded runs stay reproducible. *)
-let sample rng t =
+(* Iterative over the CSR children with an explicit work-list: sampling runs
+   on production-sized databases where a recursive walk would overflow the
+   OCaml stack.  One uniform draw per visited xor node, in depth-first order,
+   so seeded runs stay reproducible. *)
+let sample rng (a : Arena.t) =
   let acc = ref [] in
-  let stack = ref [ t ] in
+  let stack = ref [ a.root ] in
   while !stack <> [] do
     match !stack with
     | [] -> ()
-    | (Tree.Leaf a : _ Tree.t) :: rest ->
-        acc := a :: !acc;
-        stack := rest
-    | Tree.And cs :: rest -> stack := List.rev_append (List.rev cs) rest
-    | Tree.Xor es :: rest ->
-        let u = Consensus_util.Prng.uniform rng in
-        let rec pick acc_p = function
-          | [] -> rest (* residual: empty *)
-          | (p, c) :: tail ->
-              if u < acc_p +. p then c :: rest else pick (acc_p +. p) tail
-        in
-        stack := pick 0. es
+    | v :: rest ->
+        let start = a.child_start.(v) and count = a.child_count.(v) in
+        if Arena.is_leaf a v then begin
+          acc := a.leaf_ix.(v) :: !acc;
+          stack := rest
+        end
+        else if Arena.kind a v = Arena.kind_and then begin
+          let s = ref rest in
+          for j = count - 1 downto 0 do
+            s := a.children.(start + j) :: !s
+          done;
+          stack := !s
+        end
+        else begin
+          let u = Consensus_util.Prng.uniform rng in
+          (* residual mass: no child is chosen *)
+          let chosen = ref rest and acc_p = ref 0. and j = ref 0 in
+          while !j < count do
+            let c = a.children.(start + !j) in
+            let upto = !acc_p +. a.eprob.(c) in
+            if u < upto then begin
+              chosen := c :: rest;
+              j := count
+            end
+            else begin
+              acc_p := upto;
+              incr j
+            end
+          done;
+          stack := !chosen
+        end
   done;
   List.rev !acc
 
-let sample_many rng n t = List.init n (fun _ -> sample rng t)
+let expectation ?limit a ~f =
+  enumerate ?limit a |> List.fold_left (fun acc (p, w) -> acc +. (p *. f w)) 0.
 
-let expectation ?limit t ~f =
-  enumerate ?limit t
-  |> List.fold_left (fun acc (p, w) -> acc +. (p *. f w)) 0.
-
-let monte_carlo rng ~samples t ~f =
+let monte_carlo rng ~samples a ~f =
   if samples <= 0 then invalid_arg "Worlds.monte_carlo: samples must be positive";
   let acc = ref 0. in
   for _ = 1 to samples do
-    acc := !acc +. f (sample rng t)
+    acc := !acc +. f (sample rng a)
   done;
   !acc /. float_of_int samples

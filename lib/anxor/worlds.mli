@@ -1,48 +1,45 @@
-(** Possible-world enumeration and sampling for and/xor trees.
+(** Possible-world enumeration and sampling over the flat arena.
+
+    A world is the list of its leaves' depth-first indices, in depth-first
+    order; callers that need payloads map them with [Db.alt].  A generic
+    ['a Tree.t] is walked by indexing it first ([Tree.index]) and building an
+    arena over the index tree.
 
     Enumeration is exponential in general and is intended as the ground-truth
     oracle for tests and small experiments; every consensus algorithm in this
     repository is validated against it. *)
 
-val enumerate : ?limit:int -> 'a Tree.t -> (float * 'a list) list
-(** All possible worlds with their probabilities, as (probability, leaves in
-    depth-first order) pairs.  Worlds produced along distinct choice paths are
-    returned separately (probabilities of equal leaf-sets are not merged);
-    the probabilities sum to 1.  Raises [Invalid_argument] if more than
-    [limit] (default [200_000]) partial worlds would be produced. *)
+val to_seq : Arena.t -> (float * int list) Seq.t
+(** All possible worlds with their probabilities, as (probability, leaf
+    indices in depth-first order) pairs, produced lazily with no world list
+    materialized and no limit.  Worlds produced along distinct choice paths
+    are returned separately (probabilities of equal leaf sets are not
+    merged); the probabilities sum to 1.  This is the single enumeration
+    core: an instance with [2^18] worlds streams through constant memory. *)
 
-val enumerate_merged :
-  ?limit:int -> 'a Tree.t -> ((int list * 'a list) * float) list
-(** Like {!enumerate} on the index-decorated tree, with equal leaf-index sets
-    merged (summing probabilities).  Each world is returned as its sorted
-    leaf-index list together with the corresponding payloads. *)
+val fold : Arena.t -> init:'b -> f:('b -> float -> int list -> 'b) -> 'b
+(** [fold a ~init ~f] folds [f] over {!to_seq}. *)
 
-val world_probability : ?limit:int -> 'a Tree.t -> int list -> float
-(** [world_probability t ids] is the total probability that the world equals
-    exactly the leaf-index set [ids] (depth-first indices).  Enumeration
-    based. *)
+val enumerate : ?limit:int -> Arena.t -> (float * int list) list
+(** {!to_seq} materialized.  Raises [Invalid_argument] if there are more
+    than [limit] (default [200_000]) worlds. *)
 
-val to_seq : 'a Tree.t -> (float * 'a list) Seq.t
-(** Streaming twin of {!enumerate}: the same (probability, leaves) pairs in
-    the same order, produced lazily with no world list materialized and no
-    [limit].  This is the brute-force oracle's workhorse: an instance with
-    [2^18] worlds streams through constant memory. *)
+val enumerate_merged : ?limit:int -> Arena.t -> (int list * float) list
+(** Like {!enumerate} with equal leaf-index sets merged (summing
+    probabilities); each world is its sorted leaf-index list.  Sorted by
+    world. *)
 
-val fold : 'a Tree.t -> init:'b -> f:('b -> float -> 'a list -> 'b) -> 'b
-(** [fold t ~init ~f] folds [f] over {!to_seq}. *)
+val world_probability : ?limit:int -> Arena.t -> int list -> float
+(** [world_probability a ids] is the total probability that the world equals
+    exactly the leaf-index set [ids].  Enumeration based. *)
 
-val count : 'a Tree.t -> int
-(** Number of worlds {!to_seq} produces (choice paths, not merged). *)
+val sample : Consensus_util.Prng.t -> Arena.t -> int list
+(** Draw one possible world (leaf indices in depth-first order): one uniform
+    draw per visited xor node, in depth-first order.  Iterative. *)
 
-val sample : Consensus_util.Prng.t -> 'a Tree.t -> 'a list
-(** Draw one possible world (leaves in depth-first order). *)
-
-val sample_many : Consensus_util.Prng.t -> int -> 'a Tree.t -> 'a list list
-
-val expectation :
-  ?limit:int -> 'a Tree.t -> f:('a list -> float) -> float
-(** [expectation t ~f] = E[f(pw)] by exact enumeration. *)
+val expectation : ?limit:int -> Arena.t -> f:(int list -> float) -> float
+(** [expectation a ~f] = E[f(pw)] by exact enumeration. *)
 
 val monte_carlo :
-  Consensus_util.Prng.t -> samples:int -> 'a Tree.t -> f:('a list -> float) -> float
+  Consensus_util.Prng.t -> samples:int -> Arena.t -> f:(int list -> float) -> float
 (** Monte-Carlo estimate of E[f(pw)]. *)

@@ -75,7 +75,8 @@ let median_sampled rng ~samples t =
   if samples <= 0 then invalid_arg "Aggregate_tree.median_sampled: samples must be positive";
   let best = ref None in
   for _ = 1 to samples do
-    let c = counts_of_world t (Worlds.sample rng (Db.tree t.db)) in
+    let w = List.map (Db.alt t.db) (Worlds.sample rng (Db.arena t.db)) in
+    let c = counts_of_world t w in
     let d = expected_sq_dist t c in
     match !best with
     | Some (_, bd) when bd <= d -> ()
@@ -84,12 +85,12 @@ let median_sampled rng ~samples t =
   fst (Option.get !best)
 
 let brute_force_median t =
-  Worlds.enumerate (Db.tree t.db)
+  Worlds.enumerate (Db.arena t.db)
   |> List.fold_left
        (fun acc (p, w) ->
          if p <= 0. then acc
          else
-           let c = counts_of_world t w in
+           let c = counts_of_world t (List.map (Db.alt t.db) w) in
            let d = expected_sq_dist t c in
            match acc with
            | Some (_, bd) when bd <= d -> acc

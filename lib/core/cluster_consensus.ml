@@ -200,7 +200,8 @@ let best_of_worlds rng ~samples t =
   let scored =
     Pool.parallel_map ~pool:t.pool ~stage:"cluster_sampling"
       (fun g ->
-        let c = clustering_of_world t (Worlds.sample g (Db.tree t.db)) in
+        let w = List.map (Db.alt t.db) (Worlds.sample g (Db.arena t.db)) in
+        let c = clustering_of_world t w in
         (c, expected_dist t c))
       rngs
   in
@@ -263,8 +264,9 @@ let brute_force t =
   Option.get !best
 
 let enum_expected_dist t c =
-  Worlds.enumerate (Db.tree t.db)
+  Worlds.enumerate (Db.arena t.db)
   |> List.fold_left
        (fun acc (p, w) ->
+         let w = List.map (Db.alt t.db) w in
          acc +. (p *. float_of_int (distance c (clustering_of_world t w))))
        0.

@@ -194,7 +194,9 @@ let mean_kendall_via_footrule ctx =
 (* ---------- enumeration oracles ---------- *)
 
 let world_positions ctx world =
-  (* key index -> Some rank (1-based) for present keys *)
+  (* key index -> Some rank (1-based) for present keys; [world] holds leaf
+     indices *)
+  let world = List.map (Db.alt ctx.db) world in
   let n = n_keys ctx in
   let pos = Array.make n None in
   let sorted =
@@ -208,7 +210,7 @@ let world_positions ctx world =
 let enum_expected_footrule ctx sigma =
   check_perm ctx sigma;
   let n = n_keys ctx in
-  Worlds.enumerate (Db.tree ctx.db)
+  Worlds.enumerate (Db.arena ctx.db)
   |> List.fold_left
        (fun acc (p, world) ->
          let pos = world_positions ctx world in
@@ -225,7 +227,7 @@ let enum_expected_footrule ctx sigma =
 
 let enum_expected_kendall ctx sigma =
   check_perm ctx sigma;
-  Worlds.enumerate (Db.tree ctx.db)
+  Worlds.enumerate (Db.arena ctx.db)
   |> List.fold_left
        (fun acc (p, world) ->
          let pos = world_positions ctx world in

@@ -39,46 +39,60 @@ let median_sym_diff db =
   algo_span "median_sym_diff" db @@ fun () ->
   (* Minimize Σ_{t∈W} (1 - 2 m_t) over possible worlds W: a leaf pays its
      inclusion gain; an xor node chooses its best child or the empty set
-     when allowed; an and node sums its children. *)
+     when allowed; an and node sums its children.  Per node: the best cost
+     over all realizable sets, its leaves, and whether the subtree can
+     realize ∅.  Node ids are pre-order, so one sweep in descending order
+     finishes every child before its parent; a child's leaves are dropped
+     once its parent has read them. *)
   let m i = Db.marginal db i in
-  (* (best cost, chosen leaves) per subtree; None = subtree cannot produce
-     the empty set and has no leaves... every subtree produces something, so
-     the result is always defined.  We also track whether the subtree can
-     realize the empty set. *)
-  let rec go (t : int Tree.t) : (float * world) * (float * world) option =
-    (* returns (best over all realizable sets, best empty-realization if the
-       subtree can produce ∅ — the latter always (0., []) when present) *)
-    match t with
-    | Tree.Leaf i -> ((1. -. (2. *. m i), [ i ]), None)
-    | Tree.Xor edges ->
-        let total = List.fold_left (fun acc (p, _) -> acc +. p) 0. edges in
-        let residual_empty = not (forced_marginal total) in
-        let child_results = List.map (fun (_, c) -> go c) edges in
-        let empty_ok =
-          residual_empty
-          || List.exists (fun (_, e) -> e <> None) child_results
-        in
-        (* If the node cannot realize ∅ it has at least one edge, so the fold
-           below always finds a finite best. *)
-        let best =
-          List.fold_left
-            (fun acc (b, _) -> if fst b < fst acc then b else acc)
-            (if empty_ok then (0., []) else (infinity, []))
-            child_results
-        in
-        (best, if empty_ok then Some (0., []) else None)
-    | Tree.And children ->
-        let results = List.map go children in
-        let cost = List.fold_left (fun acc ((c, _), _) -> acc +. c) 0. results in
-        let leaves = List.concat_map (fun ((_, w), _) -> w) results in
-        let empty =
-          if List.for_all (fun (_, e) -> e <> None) results then Some (0., [])
-          else None
-        in
-        ((cost, leaves), empty)
-  in
-  let (_, w), _ = go (Db.itree db) in
-  List.sort compare w
+  let a = Db.arena db in
+  let n = Arena.num_nodes a in
+  let cost = Array.make n 0. and leaves = Array.make n [] and empty_ok = Array.make n false in
+  for v = n - 1 downto 0 do
+    let start = a.child_start.(v) and count = a.child_count.(v) in
+    if Arena.is_leaf a v then begin
+      let i = a.leaf_ix.(v) in
+      cost.(v) <- 1. -. (2. *. m i);
+      leaves.(v) <- [ i ]
+    end
+    else if Arena.kind a v = Arena.kind_xor then begin
+      let total = ref 0. and child_empty = ref false in
+      for j = 0 to count - 1 do
+        let c = a.children.(start + j) in
+        total := !total +. a.eprob.(c);
+        if empty_ok.(c) then child_empty := true
+      done;
+      let e = (not (forced_marginal !total)) || !child_empty in
+      (* If the node cannot realize ∅ it has at least one edge, so the loop
+         below always finds a finite best. *)
+      let best = ref (if e then 0. else infinity) and best_leaves = ref [] in
+      for j = 0 to count - 1 do
+        let c = a.children.(start + j) in
+        if cost.(c) < !best then begin
+          best := cost.(c);
+          best_leaves := leaves.(c)
+        end;
+        leaves.(c) <- []
+      done;
+      cost.(v) <- !best;
+      leaves.(v) <- !best_leaves;
+      empty_ok.(v) <- e
+    end
+    else begin
+      let sum = ref 0. and acc = ref [] and e = ref true in
+      for j = 0 to count - 1 do
+        let c = a.children.(start + j) in
+        sum := !sum +. cost.(c);
+        acc := List.rev_append leaves.(c) !acc;
+        leaves.(c) <- [];
+        if not empty_ok.(c) then e := false
+      done;
+      cost.(v) <- !sum;
+      leaves.(v) <- !acc;
+      empty_ok.(v) <- !e
+    end
+  done;
+  List.sort compare leaves.(Arena.root a)
 
 (* ---------- Jaccard ---------- *)
 
@@ -145,29 +159,37 @@ let median_jaccard db =
   fst !best
 
 let median_jaccard_bid db =
-  if not (Db.is_bid db) then
-    invalid_arg "Set_consensus.median_jaccard_bid: requires a BID database";
+  let blocks =
+    match Db.xor_blocks db with
+    | Some blocks -> blocks
+    | None -> invalid_arg "Set_consensus.median_jaccard_bid: requires a BID database"
+  in
   algo_span "median_jaccard_bid" db @@ fun () ->
-  (* Highest-probability alternative per key; forced keys (block mass 1)
-     are present in every world, so every candidate includes them. *)
-  let keys = Db.keys db in
-  let best_alt key =
-    List.fold_left
-      (fun acc l ->
-        match acc with
-        | Some b when Db.marginal db b >= Db.marginal db l -> acc
-        | _ -> Some l)
-      None (Db.alts_of_key db key)
-    |> Option.get
-  in
+  (* Highest-probability alternative per xor block (first maximum wins): a
+     block's leaves are mutually exclusive whatever their keys, so choosing
+     per key could combine two alternatives no world holds together.
+     Forced blocks (mass 1) are present in every world, so every candidate
+     includes them. *)
+  let m = Db.marginal db in
+  let nb = Array.fold_left max (-1) blocks + 1 in
+  let best = Array.make nb (-1) and mass = Array.make nb 0. in
+  Array.iteri
+    (fun l b ->
+      mass.(b) <- mass.(b) +. m l;
+      if best.(b) < 0 || m l > m best.(b) then best.(b) <- l)
+    blocks;
   let forced, optional =
-    Array.to_list keys
-    |> List.partition (fun key -> forced_marginal (Db.key_marginal db key))
+    List.init nb Fun.id
+    |> List.filter (fun b -> best.(b) >= 0)
+    |> List.partition (fun b -> forced_marginal mass.(b))
   in
-  let base = List.map best_alt forced in
+  let base = List.map (Array.get best) forced in
+  (* decreasing probability, ties by key *)
+  let key l = (Db.alt db l).key in
   let optional_alts =
-    List.map best_alt optional
-    |> List.sort (fun a b -> Float.compare (Db.marginal db b) (Db.marginal db a))
+    List.map (Array.get best) optional
+    |> List.sort (fun a b ->
+           match Float.compare (m b) (m a) with 0 -> compare (key a) (key b) | c -> c)
   in
   let candidate w = List.sort compare w in
   let best = ref (candidate base, expected_jaccard db (candidate base)) in
@@ -197,9 +219,9 @@ let brute_force_mean ~dist db =
     ([], dist db []) candidates
 
 let brute_force_median ~dist db =
-  let worlds = Worlds.enumerate_merged (Db.tree db) in
+  let worlds = Worlds.enumerate_merged (Db.arena db) in
   List.fold_left
-    (fun acc ((ids, _), p) ->
+    (fun acc (ids, p) ->
       if p <= 0. then acc
       else
         let d = dist db ids in
@@ -215,7 +237,7 @@ let sym_diff_lists w1 w2 =
   S.cardinal (S.diff s1 s2) + S.cardinal (S.diff s2 s1)
 
 let enum_expected_sym_diff db w =
-  Worlds.enumerate (Db.itree db)
+  Worlds.enumerate (Db.arena db)
   |> List.fold_left
        (fun acc (p, pw) -> acc +. (p *. float_of_int (sym_diff_lists w pw)))
        0.
@@ -223,7 +245,7 @@ let enum_expected_sym_diff db w =
 let enum_expected_jaccard db w =
   let module S = Set.Make (Int) in
   let sw = S.of_list w in
-  Worlds.enumerate (Db.itree db)
+  Worlds.enumerate (Db.arena db)
   |> List.fold_left
        (fun acc (p, pw) ->
          let spw = S.of_list pw in

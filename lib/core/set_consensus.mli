@@ -60,10 +60,11 @@ val median_jaccard : Db.t -> world
 
 val median_jaccard_bid : Db.t -> world
 (** Median world under Jaccard for a {e BID} database (§4.2): candidate
-    worlds keep only the highest-probability alternative per key, forced
-    keys (alternatives summing to 1) always included, optional keys added in
-    decreasing probability order.  Raises [Invalid_argument] if the database
-    is not BID. *)
+    worlds keep only the highest-probability alternative per xor block (so
+    x-tuple blocks holding several keys still yield possible worlds), forced
+    blocks (alternatives summing to 1) always included, optional blocks
+    added in decreasing probability order.  Raises [Invalid_argument] if the
+    database is not BID. *)
 
 (** {1 Enumeration oracles (tests / small instances)} *)
 

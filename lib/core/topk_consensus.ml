@@ -269,9 +269,10 @@ let mean_sym_diff ctx =
   algo_span "mean_sym_diff" ~k:ctx.k ~n:(Array.length ctx.keys) @@ fun () ->
   top_keys_by ctx (fun ti -> ctx.leq.(ti).(ctx.k - 1))
 
-(* Theorem 4 dynamic program.  For a threshold value [a], [filter_leaves]
-   keeps the leaves with value >= a; the DP computes, for every world size
-   0..k of the restricted tree, the realizable world maximizing the sum of
+(* Theorem 4 dynamic program.  For a threshold value [a], the leaves with
+   value < a are treated as absent (their xor edges keep their mass but
+   yield the empty set); the DP computes, for every world size 0..k of the
+   restricted tree, the realizable world maximizing the sum of
    Pr(r(t) <= k) over its members. *)
 let median_sym_diff ctx =
   algo_span "median_sym_diff" ~k:ctx.k ~n:(Array.length ctx.keys)
@@ -332,20 +333,38 @@ let median_sym_diff ctx =
          base)
         results
     in
-    let rec go (t : int Tree.t) =
-      match t with
-      | Tree.Leaf l ->
-          let arr = Array.make (kk + 1) None in
-          if (Db.alt db l).Db.value >= threshold then arr.(1) <- Some (p_of_leaf l, [ l ])
-          else arr.(0) <- Some (0., [])
-          (* a filtered leaf contributes the empty set *);
-          arr
-      | Tree.And children -> merge_and (List.map go children)
-      | Tree.Xor edges ->
-          let total = List.fold_left (fun acc (p, _) -> acc +. p) 0. edges in
-          merge_xor (List.map (fun (_, c) -> go c) edges) (total < 1. -. 1e-12)
+    (* One sweep over node ids in descending order (pre-order ids: every
+       child is finished before its parent); a child's table is dropped
+       once its parent has read it. *)
+    let a = Db.arena db in
+    let table = Array.make (Arena.num_nodes a) [||] in
+    let children v =
+      List.init a.child_count.(v) (fun j ->
+          let c = a.children.(a.child_start.(v) + j) in
+          let t = table.(c) in
+          table.(c) <- [||];
+          t)
     in
-    go (Db.itree db)
+    for v = Arena.num_nodes a - 1 downto 0 do
+      table.(v) <-
+        (if Arena.is_leaf a v then begin
+           let l = a.leaf_ix.(v) in
+           let arr = Array.make (kk + 1) None in
+           if (Db.alt db l).Db.value >= threshold then arr.(1) <- Some (p_of_leaf l, [ l ])
+           else arr.(0) <- Some (0., [])
+           (* a filtered leaf contributes the empty set *);
+           arr
+         end
+         else if Arena.kind a v = Arena.kind_xor then begin
+           let total = ref 0. in
+           for j = 0 to a.child_count.(v) - 1 do
+             total := !total +. a.eprob.(a.children.(a.child_start.(v) + j))
+           done;
+           merge_xor (children v) (!total < 1. -. 1e-12)
+         end
+         else merge_and (children v))
+    done;
+    table.(Arena.root a)
   in
   (* Candidate thresholds: all distinct leaf values (decreasing), which
      cover every possible k-th score; the minimum threshold also yields the
@@ -544,7 +563,7 @@ let mean_kendall_pool_exact ?pool ctx =
 let sample_answers rng ~samples db ~k =
   if samples <= 0 then invalid_arg "Topk_consensus: samples must be positive";
   List.init samples (fun _ ->
-      Topk_list.of_world ~k (Worlds.sample rng (Db.tree db)))
+      Topk_list.of_world ~k (List.map (Db.alt db) (Worlds.sample rng (Db.arena db))))
 
 let sampled_mean_sym_diff rng ~samples db ~k =
   let answers = sample_answers rng ~samples db ~k in
@@ -614,20 +633,23 @@ let eval_metric metric ~k t1 t2 =
   | Footrule -> Topk_list.footrule ~k t1 t2
   | Kendall -> Topk_list.kendall ~k t1 t2
 
+(* Top-k answer of an enumerated or sampled world of leaf indices. *)
+let answer_of_world ctx w = Topk_list.of_world ~k:ctx.k (List.map (Db.alt ctx.db) w)
+
 let enum_expected ctx metric tau =
-  Worlds.enumerate (Db.tree ctx.db)
+  Worlds.enumerate (Db.arena ctx.db)
   |> List.fold_left
        (fun acc (p, w) ->
-         acc +. (p *. eval_metric metric ~k:ctx.k tau (Topk_list.of_world ~k:ctx.k w)))
+         acc +. (p *. eval_metric metric ~k:ctx.k tau (answer_of_world ctx w)))
        0.
 
 let mc_expected rng ~samples ctx metric tau =
   if samples <= 0 then invalid_arg "Topk_consensus.mc_expected: samples must be positive";
-  let tree = Db.tree ctx.db in
+  let arena = Db.arena ctx.db in
   let acc = ref 0. in
   for _ = 1 to samples do
-    let w = Worlds.sample rng tree in
-    acc := !acc +. eval_metric metric ~k:ctx.k tau (Topk_list.of_world ~k:ctx.k w)
+    let w = Worlds.sample rng arena in
+    acc := !acc +. eval_metric metric ~k:ctx.k tau (answer_of_world ctx w)
   done;
   !acc /. float_of_int samples
 
@@ -672,10 +694,10 @@ let brute_force_mean ctx metric =
   end
 
 let brute_force_median ctx metric =
-  let worlds = Worlds.enumerate (Db.tree ctx.db) in
+  let worlds = Worlds.enumerate (Db.arena ctx.db) in
   let answers =
     List.filter_map
-      (fun (p, w) -> if p > 0. then Some (Topk_list.of_world ~k:ctx.k w) else None)
+      (fun (p, w) -> if p > 0. then Some (answer_of_world ctx w) else None)
       worlds
     |> List.sort_uniq compare |> Array.of_list
   in

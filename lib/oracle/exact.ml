@@ -41,7 +41,7 @@ let prepare ?(max_leaves = default_max_leaves) db =
       (Printf.sprintf "Exact.prepare: %d leaves exceeds the oracle budget (%d)"
          n max_leaves);
   let tbl = Hashtbl.create 1024 in
-  Worlds.fold (Db.itree db) ~init:() ~f:(fun () p ids ->
+  Worlds.fold (Db.arena db) ~init:() ~f:(fun () p ids ->
       if p > 0. then begin
         let mask = List.fold_left (fun m i -> m lor (1 lsl i)) 0 ids in
         Hashtbl.replace tbl mask

@@ -3,6 +3,7 @@ module Pool = Consensus_engine.Pool
 module Prng = Consensus_util.Prng
 module Gen = Consensus_workload.Gen
 module Obs = Consensus_obs.Obs
+module Arena = Consensus_anxor.Arena
 module Db = Consensus_anxor.Db
 module Worlds = Consensus_anxor.Worlds
 module Marginals = Consensus_anxor.Marginals
@@ -265,7 +266,7 @@ let check_case ~pool ~pool1 (case : Corpus.case) =
           let sizes = Array.make (n + 1) 0. in
           let marg = Array.make n 0. in
           let ranks = Array.make_matrix (Array.length keys) k 0. in
-          Worlds.fold (Db.itree db) ~init:() ~f:(fun () p ids ->
+          Worlds.fold (Db.arena db) ~init:() ~f:(fun () p ids ->
               sizes.(List.length ids) <- sizes.(List.length ids) +. p;
               List.iter
                 (fun l ->
@@ -326,7 +327,10 @@ let check_case ~pool ~pool1 (case : Corpus.case) =
               (Marginals.rank_table ~pool db ~k);
           ensure "round-trip-digest"
             (fun () -> "rebuilding the arena from the tree changes the digest")
-            (Db.digest (Db.create ~check:false (Db.tree db)) = Db.digest db));
+            (let tree =
+               Arena.to_tree ~leaf:(fun ~key ~value -> { Db.key; value }) (Db.arena db)
+             in
+             Db.digest (Db.create ~check:false tree) = Db.digest db));
       None
     with
     | Fail (name, detail) -> Some (name, detail)

@@ -21,7 +21,7 @@
       and per-key rank distributions must match sums over its enumerated
       possible worlds, the BID rank-table sweep must match the per-key
       rank distributions, and the arena must survive a round trip through
-      its tree view with an unchanged digest.
+      [Arena.to_tree] and [Db.create] with an unchanged digest.
 
     A failing case is greedily shrunk ({!Shrink.shrink}) and, when a corpus
     directory is configured, promoted to a regression file that

@@ -69,6 +69,7 @@ let level_ok level (q : Api.query) =
 let apply r rng db q =
   if not (supported q && level_ok r.level q && compatible db q) then None
   else
-    match Db.create (r.rw rng (Db.tree db)) with
+    let tree = Arena.to_tree ~leaf:(fun ~key ~value -> { Db.key; value }) (Db.arena db) in
+    match Db.create (r.rw rng tree) with
     | db' -> if compatible db' q then Some db' else None
     | exception Invalid_argument _ -> None

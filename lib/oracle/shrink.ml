@@ -45,7 +45,9 @@ let candidates (case : Corpus.case) =
       in
       rows @ cols
   | query ->
-      let tree = Db.tree case.db in
+      let tree =
+        Arena.to_tree ~leaf:(fun ~key ~value -> { Db.key; value }) (Db.arena case.db)
+      in
       let n = Tree.num_leaves tree in
       let leaf_drops =
         List.init n (fun i -> rebuild query (drop_leaf tree i))

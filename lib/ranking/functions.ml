@@ -22,11 +22,11 @@ let pt_k db ~threshold ~k =
   |> List.map fst |> Array.of_list
 
 let u_topk ?limit db ~k =
-  let worlds = Worlds.enumerate ?limit (Db.tree db) in
+  let worlds = Worlds.enumerate ?limit (Db.arena db) in
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun (p, w) ->
-      let answer = Topk_list.of_world ~k w in
+      let answer = Topk_list.of_world ~k (List.map (Db.alt db) w) in
       let key = Array.to_list answer in
       let prev = Option.value (Hashtbl.find_opt tbl key) ~default:0. in
       Hashtbl.replace tbl key (prev +. p))

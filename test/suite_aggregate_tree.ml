@@ -17,9 +17,9 @@ let test_mean_vs_enum () =
     let db = Gen.clustering_db ~num_values:6 g (2 + Prng.int g 4) in
     let t = make_t db in
     let direct = Array.make 3 0. in
-    Worlds.enumerate (Db.tree db)
+    Worlds.enumerate (Db.arena db)
     |> List.iter (fun (p, w) ->
-           let c = Aggregate_tree.counts_of_world t w in
+           let c = Aggregate_tree.counts_of_world t (List.map (Db.alt db) w) in
            Array.iteri (fun v cv -> direct.(v) <- direct.(v) +. (p *. cv)) c);
     Array.iteri
       (fun v m -> check_float (Printf.sprintf "mean group %d" v) direct.(v) m)
@@ -37,8 +37,8 @@ let test_expected_dist_vs_enum () =
     List.iter
       (fun c ->
         let direct =
-          Worlds.expectation (Db.tree db) ~f:(fun w ->
-              let counts = Aggregate_tree.counts_of_world t w in
+          Worlds.expectation (Db.arena db) ~f:(fun w ->
+              let counts = Aggregate_tree.counts_of_world t (List.map (Db.alt db) w) in
               let acc = ref 0. in
               Array.iteri (fun v cv -> acc := !acc +. ((cv -. c.(v)) ** 2.)) counts;
               !acc)
@@ -88,10 +88,10 @@ let test_joint_distribution () =
       (fun mono coeff () ->
         let target = Array.init 3 (fun v -> Mpoly.mono_exponent mono v) in
         let direct =
-          Worlds.enumerate (Db.tree db)
+          Worlds.enumerate (Db.arena db)
           |> List.fold_left
                (fun acc (p, w) ->
-                 let c = Aggregate_tree.counts_of_world t w in
+                 let c = Aggregate_tree.counts_of_world t (List.map (Db.alt db) w) in
                  if Array.for_all2 (fun a b -> int_of_float a = b) c target then
                    acc +. p
                  else acc)

@@ -87,13 +87,19 @@ let test_marginals_figure1 () =
 
 let test_enumerate_figure1_iii () =
   let db = fig1_iii () in
-  let worlds = Worlds.enumerate (Db.tree db) in
+  let worlds = Worlds.enumerate (Db.arena db) in
   Alcotest.(check int) "three worlds" 3 (List.length worlds);
   let total = List.fold_left (fun acc (p, _) -> acc +. p) 0. worlds in
   check_float "probabilities sum to 1" 1. total;
   List.iter
     (fun (_, w) -> Alcotest.(check int) "world size 3" 3 (List.length w))
-    worlds
+    worlds;
+  (* pw1 is leaves 0..2, pw2 leaves 3..5: (t3,6) and (t4,0) never coexist,
+     and every world is non-empty *)
+  let prob = Worlds.world_probability (Db.arena db) in
+  check_float "pw1" 0.3 (prob [ 2; 0; 1 ]);
+  check_float "cross-world impossible" 0. (prob [ 0; 5 ]);
+  check_float "empty impossible here" 0. (prob [])
 
 (* ---------- Tree structure ---------- *)
 
@@ -124,7 +130,8 @@ let test_tree_key_constraint () =
   let bad =
     Tree.and_ [ Tree.leaf { Db.key = 1; value = 1. }; Tree.leaf { Db.key = 1; value = 2. } ]
   in
-  (match Tree.check_keys ~key:(fun a -> a.Db.key) bad with
+  let arena_of t = Arena.of_tree ~key:(fun a -> a.Db.key) ~value:(fun a -> a.Db.value) t in
+  (match Arena.check_keys (arena_of bad) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "key violation not detected");
   (try
@@ -138,8 +145,8 @@ let test_tree_key_constraint () =
         (0.4, Tree.leaf { Db.key = 1; value = 2. });
       ]
   in
-  match Tree.check_keys ~key:(fun a -> a.Db.key) good with
-  | Ok () -> ()
+  match Arena.check_keys (arena_of good) with
+  | Ok () -> ignore (Db.create good)
   | Error e -> Alcotest.fail e
 
 let test_count_worlds () =
@@ -153,27 +160,11 @@ let test_filter_leaves () =
   let t = Tree.bid [ [ (0.5, 1); (0.5, 2) ]; [ (0.3, 3) ] ] in
   let t' = Tree.filter_leaves (fun v -> v >= 2) t in
   Alcotest.(check (list int)) "kept" [ 2; 3 ] (Tree.leaves t');
-  (* The distribution of the remaining leaves is preserved. *)
-  let m = Tree.marginals t' in
-  check_float "p(2)" 0.5 (List.assoc 2 m);
-  check_float "p(3)" 0.3 (List.assoc 3 m)
-
-let test_world_is_possible () =
-  let db = fig1_iii () in
-  let t = Db.tree db in
-  let eq (a : Db.alt) b = a = b in
-  let w1 = [ { Db.key = 3; value = 6. }; { Db.key = 2; value = 5. }; { Db.key = 1; value = 1. } ] in
-  Alcotest.(check bool) "pw1 possible" true (Tree.world_is_possible ~eq t w1);
-  let impossible = [ { Db.key = 3; value = 6. }; { Db.key = 4; value = 0. } ] in
-  Alcotest.(check bool) "cross-world impossible" false
-    (Tree.world_is_possible ~eq t impossible);
-  Alcotest.(check bool) "empty impossible here" false
-    (Tree.world_is_possible ~eq t []);
-  let t_ind = Tree.independent [ (0.5, 'a'); (0.9, 'b') ] in
-  Alcotest.(check bool) "subset possible" true
-    (Tree.world_is_possible ~eq:Char.equal t_ind [ 'b' ]);
-  Alcotest.(check bool) "empty possible" true
-    (Tree.world_is_possible ~eq:Char.equal t_ind [])
+  (* The distribution of the remaining leaves is preserved: leaf 0 of t' is
+     2, leaf 1 is 3. *)
+  let m = Arena.marginals (Arena.of_tree ~key:Fun.id ~value:(fun _ -> 0.) t') in
+  check_float "p(2)" 0.5 m.(0);
+  check_float "p(3)" 0.3 m.(1)
 
 (* ---------- Worlds: enumeration consistency ---------- *)
 
@@ -183,7 +174,7 @@ let test_enumeration_total_probability () =
   let g = rng () in
   for _ = 1 to 20 do
     let t = Consensus_workload.Gen.random_tree g (4 + Prng.int g 6) in
-    let worlds = Worlds.enumerate t in
+    let worlds = Worlds.enumerate (Db.arena (Db.create t)) in
     let total = List.fold_left (fun acc (p, _) -> acc +. p) 0. worlds in
     check_floatl "total probability 1" 1. total
   done
@@ -191,9 +182,9 @@ let test_enumeration_total_probability () =
 let test_size_distribution_vs_enumeration () =
   let g = rng () in
   for _ = 1 to 20 do
-    let t = Consensus_workload.Gen.random_tree g (3 + Prng.int g 7) in
-    let f = Marginals.size_distribution (Db.create t) in
-    let worlds = Worlds.enumerate t in
+    let db = Db.create (Consensus_workload.Gen.random_tree g (3 + Prng.int g 7)) in
+    let f = Marginals.size_distribution db in
+    let worlds = Worlds.enumerate (Db.arena db) in
     for size = 0 to Poly1.degree f do
       let direct =
         List.fold_left
@@ -207,15 +198,10 @@ let test_size_distribution_vs_enumeration () =
 let test_subset_size_distribution () =
   let g = rng () in
   for _ = 1 to 10 do
-    let t = Consensus_workload.Gen.random_tree g 8 in
-    let it = Tree.indexed t in
-    let mem (i, _) = i mod 2 = 0 in
-    let f =
-      Genfunc.subset_size_distribution
-        (fun i -> i mod 2 = 0)
-        (Db.arena (Db.create t))
-    in
-    let worlds = Worlds.enumerate it in
+    let a = Db.arena (Db.create (Consensus_workload.Gen.random_tree g 8)) in
+    let mem i = i mod 2 = 0 in
+    let f = Genfunc.subset_size_distribution mem a in
+    let worlds = Worlds.enumerate a in
     for c = 0 to Poly1.degree f do
       let direct =
         List.fold_left
@@ -231,7 +217,7 @@ let test_marginals_vs_enumeration () =
   let g = rng () in
   for _ = 1 to 20 do
     let db = Consensus_workload.Gen.random_tree_db g (3 + Prng.int g 8) in
-    let worlds = Worlds.enumerate (Db.itree db) in
+    let worlds = Worlds.enumerate (Db.arena db) in
     for l = 0 to Db.num_alts db - 1 do
       let direct =
         List.fold_left
@@ -246,7 +232,7 @@ let test_pair_marginal_vs_enumeration () =
   let g = rng () in
   for _ = 1 to 15 do
     let db = Consensus_workload.Gen.random_tree_db g (3 + Prng.int g 7) in
-    let worlds = Worlds.enumerate (Db.itree db) in
+    let worlds = Worlds.enumerate (Db.arena db) in
     let n = Db.num_alts db in
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
@@ -273,7 +259,7 @@ let test_sampling_matches_marginals () =
   let n = 20_000 in
   let counts = Array.make (Db.num_alts db) 0 in
   for _ = 1 to n do
-    let w = Worlds.sample g (Db.itree db) in
+    let w = Worlds.sample g (Db.arena db) in
     List.iter (fun l -> counts.(l) <- counts.(l) + 1) w
   done;
   Array.iteri
@@ -285,13 +271,58 @@ let test_sampling_matches_marginals () =
         (abs_float (freq -. Db.marginal db l) < 0.015))
     counts
 
+(* Golden seeded draws: the sampler makes one uniform draw per visited xor
+   node, in depth-first order, and seeded answers (sampled top-k, cluster
+   best-of-worlds, aggregate medians) depend on that order.  The values pin
+   it for the first 20 draws of two seeds on a BID database and on a nested
+   keyed tree. *)
+let test_sampling_golden () =
+  let bid = Consensus_workload.Gen.bid_db (Prng.create ~seed:5 ()) 6 in
+  let keyed = Consensus_workload.Gen.random_keyed_tree (Prng.create ~seed:6 ()) 10 in
+  let draws db seed =
+    let g = Prng.create ~seed () in
+    List.init 20 (fun _ -> Worlds.sample g (Db.arena db))
+  in
+  let check name expected actual =
+    Alcotest.(check (list (list int))) name expected actual
+  in
+  check "bid seed 1"
+    [ [ 2; 5; 6; 10 ]; [ 0; 2 ]; [ 3; 5; 7 ]; [ 0; 2; 5; 11 ]; [ 1; 2; 5 ];
+      [ 0; 3; 5; 6; 11 ]; [ 0; 3; 5; 7; 10 ]; [ 1; 3; 4; 6 ]; [ 2; 4 ]; [ 2; 6 ];
+      [ 3; 5 ]; [ 3; 5; 8 ]; [ 1; 2; 4; 8 ]; [ 2; 5; 7 ]; [ 1; 3; 4 ]; [ 0; 2 ];
+      [ 3; 8; 10 ]; [ 0; 2; 8; 11 ]; [ 0; 2; 4 ]; [ 2; 9; 11 ] ]
+    (draws bid 1);
+  check "bid seed 2"
+    [ [ 0; 3; 4; 11 ]; [ 2; 11 ]; [ 3; 6 ]; [ 1; 2; 4; 8 ]; [ 2; 4; 6; 9 ];
+      [ 1; 2; 6; 7; 11 ]; [ 0; 3; 5; 6 ]; [ 0; 3; 11 ]; [ 0; 3; 4; 7; 11 ];
+      [ 0; 2; 5; 11 ]; [ 0; 3; 5; 6 ]; [ 2; 6; 9; 11 ]; [ 0; 2; 5; 6 ]; [ 2; 6; 9 ];
+      [ 2; 8 ]; [ 2; 7 ]; [ 3 ]; [ 2; 6 ]; [ 0; 2; 4; 11 ]; [ 0; 2; 4; 9; 11 ] ]
+    (draws bid 2);
+  check "keyed seed 1"
+    [ []; [ 8 ]; []; []; []; []; [ 5 ]; [ 8 ]; []; []; []; []; [ 5 ]; []; [ 9 ];
+      [ 6 ]; []; [ 2; 4 ]; []; [] ]
+    (draws keyed 1);
+  check "keyed seed 2"
+    [ []; []; [ 3; 4 ]; []; []; []; []; [ 5 ]; [ 4 ]; [ 1; 4 ]; []; []; [ 2; 4 ];
+      [ 6 ]; [ 9 ]; []; [ 4 ]; []; [ 5 ]; [] ]
+    (draws keyed 2);
+  let best_of_worlds d =
+    let module C = Consensus.Cluster_consensus in
+    C.best_of_worlds (Prng.create ~seed:3 ()) ~samples:8 (C.make d) |> Array.to_list
+  in
+  Alcotest.(check (list int)) "bid best_of_worlds" [ 5; 0; 1; 2; 3; 4 ]
+    (best_of_worlds bid);
+  Alcotest.(check (list int)) "keyed best_of_worlds" [ 0; 0; 0; 0; 0; 0; 0; 0; 0 ]
+    (best_of_worlds keyed)
+
 let test_enumerate_merged () =
   (* Two xor branches yielding the same (empty) world merge. *)
   let t = Tree.xor [ (0.3, Tree.and_ []); (0.2, Tree.and_ []) ] in
+  let t = Arena.of_tree ~key:Fun.id ~value:(fun _ -> 0.) t in
   let merged = Worlds.enumerate_merged t in
   Alcotest.(check int) "one merged world" 1 (List.length merged);
   (match merged with
-  | [ ((ids, _), p) ] ->
+  | [ (ids, p) ] ->
       Alcotest.(check (list int)) "empty world" [] ids;
       check_float "merged probability" 1.0 p
   | _ -> Alcotest.fail "unexpected");
@@ -299,15 +330,20 @@ let test_enumerate_merged () =
 
 let test_expectation_and_monte_carlo () =
   let g = rng () in
-  let t = Consensus_workload.Gen.random_tree g 7 in
+  let db = Db.create (Consensus_workload.Gen.random_tree g 7) in
   let f w = float_of_int (List.length w) in
-  let exact = Worlds.expectation t ~f in
-  let mc = Worlds.monte_carlo g ~samples:30_000 t ~f in
+  let exact = Worlds.expectation (Db.arena db) ~f in
+  let mc = Worlds.monte_carlo g ~samples:30_000 (Db.arena db) ~f in
   Alcotest.(check bool) "MC close to exact" true (abs_float (exact -. mc) < 0.1);
   check_floatl "matches genfunc expectation" exact
-    (Poly1.expectation (Marginals.size_distribution (Db.create t)))
+    (Poly1.expectation (Marginals.size_distribution db))
 
 (* ---------- Rank distributions ---------- *)
+
+(* Enumerated worlds as (leaf index, payload) lists. *)
+let indexed_worlds db =
+  Worlds.enumerate (Db.arena db)
+  |> List.map (fun (p, w) -> (p, List.map (fun i -> (i, Db.alt db i)) w))
 
 let rank_of_key w (alts : (int * Db.alt) list) key =
   (* Rank of [key] in the enumerated world [w] of (index, alt) leaves. *)
@@ -328,8 +364,7 @@ let test_rank_dist_vs_enumeration () =
       if iter mod 2 = 0 then Consensus_workload.Gen.random_tree_db g (3 + Prng.int g 6)
       else Consensus_workload.Gen.random_keyed_tree g (3 + Prng.int g 6)
     in
-    let it = Tree.indexed (Db.tree db) in
-    let worlds = Worlds.enumerate it in
+    let worlds = indexed_worlds db in
     let k = min 4 (Db.num_alts db) in
     Array.iter
       (fun key ->
@@ -432,8 +467,7 @@ let test_topk_pair_vs_enumeration () =
   let g = rng () in
   for _ = 1 to 10 do
     let db = Consensus_workload.Gen.random_tree_db g (4 + Prng.int g 5) in
-    let it = Tree.indexed (Db.tree db) in
-    let worlds = Worlds.enumerate it in
+    let worlds = indexed_worlds db in
     let keys = Db.keys db in
     let k = 3 in
     Array.iter
@@ -463,8 +497,7 @@ let test_beats_vs_enumeration () =
       if iter mod 2 = 0 then Consensus_workload.Gen.random_tree_db g (3 + Prng.int g 6)
       else Consensus_workload.Gen.random_keyed_tree g (4 + Prng.int g 5)
     in
-    let it = Tree.indexed (Db.tree db) in
-    let worlds = Worlds.enumerate it in
+    let worlds = indexed_worlds db in
     let keys = Db.keys db in
     Array.iter
       (fun k1 ->
@@ -491,8 +524,7 @@ let test_expected_rank_vs_enumeration () =
   let g = rng () in
   for _ = 1 to 10 do
     let db = Consensus_workload.Gen.random_tree_db g (3 + Prng.int g 6) in
-    let it = Tree.indexed (Db.tree db) in
-    let worlds = Worlds.enumerate it in
+    let worlds = indexed_worlds db in
     Array.iter
       (fun key ->
         let er = Marginals.expected_rank db key in
@@ -557,7 +589,7 @@ let test_mpoly_engine_vs_enumeration () =
     let db = Consensus_workload.Gen.random_tree_db g 6 in
     (* Three variables: leaf i gets variable i mod 3. *)
     let f = Genfunc.mpoly (fun i -> Mpoly.var (i mod 3)) (Db.arena db) in
-    let worlds = Worlds.enumerate (Tree.indexed (Db.tree db)) in
+    let worlds = indexed_worlds db in
     (* Check a handful of monomials. *)
     Mpoly.fold
       (fun mono c () ->
@@ -589,13 +621,13 @@ let suite =
     Alcotest.test_case "key constraint" `Quick test_tree_key_constraint;
     Alcotest.test_case "count worlds" `Quick test_count_worlds;
     Alcotest.test_case "filter leaves" `Quick test_filter_leaves;
-    Alcotest.test_case "world_is_possible" `Quick test_world_is_possible;
     Alcotest.test_case "enumeration total probability" `Quick test_enumeration_total_probability;
     Alcotest.test_case "size distribution vs enumeration" `Quick test_size_distribution_vs_enumeration;
     Alcotest.test_case "subset size distribution" `Quick test_subset_size_distribution;
     Alcotest.test_case "marginals vs enumeration" `Quick test_marginals_vs_enumeration;
     Alcotest.test_case "pair marginals vs enumeration" `Quick test_pair_marginal_vs_enumeration;
     Alcotest.test_case "sampling matches marginals" `Slow test_sampling_matches_marginals;
+    Alcotest.test_case "sampling golden draws" `Quick test_sampling_golden;
     Alcotest.test_case "enumerate merged" `Quick test_enumerate_merged;
     Alcotest.test_case "expectation and monte carlo" `Slow test_expectation_and_monte_carlo;
     Alcotest.test_case "rank dist vs enumeration" `Quick test_rank_dist_vs_enumeration;

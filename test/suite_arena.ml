@@ -41,16 +41,18 @@ let test_single_leaf () =
   | Error e -> Alcotest.fail e
   | Ok t' -> Alcotest.(check string) "parse" (Sexp_io.to_string t) (Sexp_io.to_string t')
 
-(* ---------- arena kernels vs the tree view and enumeration ---------- *)
+(* ---------- arena kernels vs enumeration ---------- *)
 
 let test_marginals_parity () =
   let rng = Prng.create ~seed:42 () in
   for _ = 1 to 100 do
-    let t = Gen.random_tree rng (1 + Prng.int rng 25) in
-    let a = of_alt_tree t in
-    let am = Arena.marginals a and tm = Tree.marginals t in
-    Alcotest.(check int) "lengths" (List.length tm) (Array.length am);
-    List.iteri (fun i (_, m) -> check_float "marginal" m am.(i)) tm
+    let a = of_alt_tree (Gen.random_tree rng (1 + Prng.int rng 25)) in
+    let am = Arena.marginals a in
+    let sums = Array.make (Arena.num_leaves a) 0. in
+    Worlds.fold a ~init:() ~f:(fun () p ids ->
+        List.iter (fun i -> sums.(i) <- sums.(i) +. p) ids);
+    Alcotest.(check int) "lengths" (Arena.num_leaves a) (Array.length am);
+    Array.iteri (fun i m -> check_float "marginal" m am.(i)) sums
   done
 
 let test_genfunc_vs_enumeration () =
@@ -60,7 +62,7 @@ let test_genfunc_vs_enumeration () =
     let n = Db.num_alts db in
     let mem i = alt_value (Db.alt db i) > 0.5 in
     let sizes = Array.make (n + 1) 0. and subset = Array.make (n + 1) 0. in
-    Worlds.fold (Db.itree db) ~init:() ~f:(fun () p ids ->
+    Worlds.fold (Db.arena db) ~init:() ~f:(fun () p ids ->
         let c = List.length (List.filter mem ids) in
         sizes.(List.length ids) <- sizes.(List.length ids) +. p;
         subset.(c) <- subset.(c) +. p);
@@ -77,7 +79,7 @@ let test_digest_stability () =
   for _ = 1 to 50 do
     let db = Gen.random_tree_db rng (1 + Prng.int rng 20) in
     let d = Db.digest db in
-    let via_tree = Db.create ~check:false (Db.tree db) in
+    let via_tree = Db.create ~check:false (to_alt_tree (Db.arena db)) in
     Alcotest.(check string) "digest survives tree round trip" d
       (Db.digest via_tree);
     match Sexp_io.db_of_string (Sexp_io.db_to_string db) with
@@ -142,11 +144,10 @@ let test_deep_tree_stats () =
   Alcotest.(check int) "depth" depth (Tree.depth t);
   Alcotest.(check int) "num_leaves" 1 (Tree.num_leaves t);
   Alcotest.(check int) "num_nodes" (depth + 1) (Tree.num_nodes t);
-  (match Tree.marginals t with
-  | [ (_, m) ] ->
-      Alcotest.(check bool) "marginal in (0,1)" true (m > 0. && m < 1.)
-  | _ -> Alcotest.fail "expected one leaf");
   let a = of_alt_tree t in
+  (match Arena.marginals a with
+  | [| m |] -> Alcotest.(check bool) "marginal in (0,1)" true (m > 0. && m < 1.)
+  | _ -> Alcotest.fail "expected one leaf");
   Alcotest.(check int) "arena depth" depth (Arena.depth a);
   Alcotest.(check int) "arena nodes" (depth + 1) (Arena.num_nodes a);
   Alcotest.(check string) "deep round trip" (Sexp_io.to_string t)
@@ -163,6 +164,25 @@ let test_deep_genfunc () =
     (Poly1.coeff p 1);
   let r = Marginals.rank_dist_alt db 0 ~k:1 in
   check_float "rank dist matches marginal" (Db.marginal db 0) r.(0)
+
+let test_deep_dps_and_sampler () =
+  (* the sym-diff tree DPs and the sampler sweep the arena without
+     recursion; the lone leaf (marginal ~0.95) belongs in both medians *)
+  let db = Db.create (deep_chain 100_000) in
+  Alcotest.(check (list int)) "set median" [ 0 ]
+    (Consensus.Set_consensus.median_sym_diff db);
+  let ctx = Consensus.Topk_consensus.make_ctx db ~k:1 in
+  Alcotest.(check (array int)) "top-1 median" [| 1 |]
+    (Consensus.Topk_consensus.median_sym_diff ctx);
+  let g = Prng.create ~seed:3 () in
+  let hits = ref 0 in
+  for _ = 1 to 20 do
+    match Worlds.sample g (Db.arena db) with
+    | [] -> ()
+    | [ 0 ] -> incr hits
+    | _ -> Alcotest.fail "sampled world is not a subset of the one leaf"
+  done;
+  Alcotest.(check bool) "leaf sampled" true (!hits > 0)
 
 let test_wide_tree () =
   (* very wide And node: every path (stats, arena build, engines, writer)
@@ -189,5 +209,6 @@ let suite =
     Alcotest.test_case "builder validation" `Quick test_builder_validation;
     Alcotest.test_case "deep tree stats" `Quick test_deep_tree_stats;
     Alcotest.test_case "deep genfunc" `Quick test_deep_genfunc;
+    Alcotest.test_case "deep DPs and sampler" `Quick test_deep_dps_and_sampler;
     Alcotest.test_case "wide tree" `Quick test_wide_tree;
   ]

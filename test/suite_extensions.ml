@@ -14,6 +14,22 @@ let rng () = Prng.create ~seed:60606 ()
 
 (* ---------- Transform ---------- *)
 
+(* The arena over a generic tree's depth-first leaf indices, for the world
+   enumerator; the payloads come back as the array. *)
+let indexed_arena t =
+  let it, payloads = Tree.index t in
+  (Arena.of_tree ~key:Fun.id ~value:(fun _ -> 0.) it, payloads)
+
+(* Presence probability of each payload, summed over every leaf carrying it
+   and over the enumerated worlds. *)
+let payload_marginals t =
+  let a, payloads = indexed_arena t in
+  let sums = Hashtbl.create 16 in
+  let get x = Option.value (Hashtbl.find_opt sums x) ~default:0. in
+  Worlds.fold a ~init:() ~f:(fun () p ids ->
+      List.iter (fun i -> Hashtbl.replace sums payloads.(i) (p +. get payloads.(i))) ids);
+  get
+
 let test_of_worlds_figure1 () =
   (* Figure 1(ii) distribution re-encoded and checked against the direct
      construction. *)
@@ -32,7 +48,7 @@ let test_of_worlds_figure1 () =
   check_float "always 3 tuples" 1. (Consensus_poly.Poly1.coeff sizes 3)
 
 let test_of_worlds_residual () =
-  let t = Transform.of_worlds [ (0.4, [ 'a' ]) ] in
+  let t, _ = indexed_arena (Transform.of_worlds [ (0.4, [ 'a' ]) ]) in
   let worlds = Worlds.enumerate_merged t in
   Alcotest.(check int) "two worlds (incl. empty)" 2 (List.length worlds);
   check_float "empty world" 0.6 (Worlds.world_probability t [])
@@ -68,7 +84,7 @@ let test_simplify_collapses_nested_xor () =
   | _ -> Alcotest.fail "probability-1 xor not collapsed"
 
 let test_push_bernoulli () =
-  let t = Transform.push_bernoulli 0.3 (Tree.certain [ 'x'; 'y' ]) in
+  let t, _ = indexed_arena (Transform.push_bernoulli 0.3 (Tree.certain [ 'x'; 'y' ])) in
   check_float "world prob" 0.3 (Worlds.world_probability t [ 0; 1 ]);
   check_float "empty prob" 0.7 (Worlds.world_probability t [])
 
@@ -82,20 +98,20 @@ let test_conditioning_vs_pair_marginals () =
     let db = Gen.random_tree_db g (3 + Prng.int g 7) in
     let n = Db.num_alts db in
     let target = Prng.int g n in
-    let it = Db.itree db in
+    let it, _ =
+      Tree.index (Arena.to_tree ~leaf:(fun ~key:_ ~value:_ -> ()) (Db.arena db))
+    in
     (* present *)
     (match Transform.condition_present (fun i -> i = target) it with
     | None -> Alcotest.fail "leaf not found"
     | Some (p, cond) ->
         check_float "conditioning probability" (Db.marginal db target) p;
         if p > 1e-9 then begin
-          let cond_marginals = Tree.marginals cond in
+          let cond_marginals = payload_marginals cond in
           for i = 0 to n - 1 do
             let joint = Db.pair_marginal db i target in
             let expected = joint /. p in
-            let got =
-              Option.value (List.assoc_opt i cond_marginals) ~default:0.
-            in
+            let got = cond_marginals i in
             check_float
               (Printf.sprintf "P(%d | %d present)" i target)
               expected got
@@ -107,14 +123,11 @@ let test_conditioning_vs_pair_marginals () =
     | Some (q, cond) ->
         check_float "absence probability" (1. -. Db.marginal db target) q;
         if q > 1e-9 then begin
-          let cond_marginals = Tree.marginals cond in
+          let cond_marginals = payload_marginals cond in
           for i = 0 to n - 1 do
             let joint = Db.marginal db i -. Db.pair_marginal db i target in
             let expected = joint /. q in
-            let got =
-              List.filter (fun (j, _) -> j = i) cond_marginals
-              |> List.fold_left (fun acc (_, m) -> acc +. m) 0.
-            in
+            let got = cond_marginals i in
             check_float
               (Printf.sprintf "P(%d | %d absent)" i target)
               expected got
@@ -127,9 +140,9 @@ let test_merge_independent () =
     Transform.merge_independent
       [ Tree.independent [ (0.5, 1) ]; Tree.independent [ (0.5, 2) ] ]
   in
-  let m = Tree.marginals t in
-  check_float "p(1)" 0.5 (List.assoc 1 m);
-  check_float "p(2)" 0.5 (List.assoc 2 m);
+  let m = payload_marginals t in
+  check_float "p(1)" 0.5 (m 1);
+  check_float "p(2)" 0.5 (m 2);
   Alcotest.(check int) "flattened" 2 (Tree.num_leaves t)
 
 let test_pretty_printers_smoke () =
@@ -184,11 +197,11 @@ let test_expected_kendall_p_vs_enum () =
     List.iter
       (fun p ->
         let direct =
-          Worlds.enumerate (Db.tree db)
+          Worlds.enumerate (Db.arena db)
           |> List.fold_left
                (fun acc (q, w) ->
-                 acc
-                 +. (q *. Topk_list.kendall_p ~p ~k:2 tau (Topk_list.of_world ~k:2 w)))
+                 let answer = Topk_list.of_world ~k:2 (List.map (Db.alt db) w) in
+                 acc +. (q *. Topk_list.kendall_p ~p ~k:2 tau answer))
                0.
         in
         check_float

@@ -5,6 +5,11 @@ open Consensus_ranking
 let check_float = Alcotest.(check (float 1e-9))
 let rng () = Prng.create ~seed:777 ()
 
+(* Enumerated worlds with their leaves' payloads. *)
+let alt_worlds db =
+  Worlds.enumerate (Db.arena db)
+  |> List.map (fun (p, w) -> (p, List.map (Db.alt db) w))
+
 (* ---------- Topk_list metrics ---------- *)
 
 let test_of_world () =
@@ -244,7 +249,7 @@ let test_u_topk_best_first () =
     let _, best_p = Functions.u_topk_best_first db ~k in
     let enum_answer = Functions.u_topk db ~k in
     let prob_of answer =
-      Consensus_anxor.Worlds.enumerate (Consensus_anxor.Db.tree db)
+      alt_worlds db
       |> List.fold_left
            (fun acc (p, w) ->
              if Topk_list.of_world ~k w = answer then acc +. p else acc)
@@ -257,7 +262,7 @@ let test_u_topk_best_first () =
   let db = Consensus_workload.Gen.bid_db g 4 in
   let answer, p = Functions.u_topk_best_first db ~k:2 in
   let direct =
-    Consensus_anxor.Worlds.enumerate (Consensus_anxor.Db.tree db)
+    alt_worlds db
     |> List.fold_left
          (fun acc (q, w) -> if Topk_list.of_world ~k:2 w = answer then acc +. q else acc)
          0.
@@ -273,7 +278,7 @@ let test_u_topk_answer_probability () =
     in
     let k = 1 + Prng.int g 3 in
     (* check several candidate answers against enumeration *)
-    let worlds = Consensus_anxor.Worlds.enumerate (Consensus_anxor.Db.tree db) in
+    let worlds = alt_worlds db in
     let candidates =
       List.filteri (fun i _ -> i < 5) worlds
       |> List.map (fun (_, w) -> Topk_list.of_world ~k w)
